@@ -195,7 +195,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"(primes {args.pmin}..{args.pmax}, suite {args.suite})"
         )
         _write("\n".join(lines) + "\n", args.output)
-    return 0 if all(r.ok for r in results) else 1
+    # a run that checked nothing has verified nothing
+    return 0 if results and all(r.ok for r in results) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -18,6 +18,7 @@ from .errors import (
     BadPrecisionError,
     NoOrderFourCharacterError,
     NotPrimeError,
+    PrecisionExhaustedError,
     PrimeTooSmallError,
     SingularLambdaError,
 )
@@ -70,6 +71,33 @@ def _primitive_root(p: int) -> int:
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
     raise AssertionError("no primitive root found")
+
+
+# rounding a float FFT output is certified exact while every entry lies
+# within RINT_GUARD of an integer; below RINT_MAX floats are spaced at
+# most 1/8 apart, fine enough for such a residual to show
+RINT_GUARD = 0.25
+RINT_MAX = 2.0**50
+
+
+def exact_rint(c: np.ndarray) -> np.ndarray:
+    """The integers that a float FFT result c approximates, as int64.
+
+    Raises PrecisionExhaustedError when some entry lies RINT_GUARD or
+    farther from its nearest integer, or is too large for that distance
+    to be seen: float error may then have eaten the margin that makes the
+    rounding exact.
+    """
+    r = np.rint(c)
+    resid = float(np.max(np.abs(c - r), initial=0.0))
+    peak = float(np.max(np.abs(r), initial=0.0))
+    if not (resid < RINT_GUARD and peak < RINT_MAX):  # NaN fails too
+        raise PrecisionExhaustedError(
+            f"FFT rounding residual {resid:.3g} (guard {RINT_GUARD}) at "
+            f"magnitude {peak:.3g} (limit 2^50); the float transform "
+            "cannot certify an exact integer result"
+        )
+    return r.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -161,17 +189,19 @@ class PrimeContext:
     def frobenius_sweep(self) -> np.ndarray:
         """a_p(lambda) for every lambda, as an int64 array of length p.
 
-        Entries at the singular fibers lambda = 0, 1 are set to 0.
+        a_p(lambda) = -sum_x phi(x(x-1)) phi(x-lambda) is one length-p
+        cyclic correlation of two {-1, 0, 1} sequences, computed by a real
+        FFT and rounded to the nearest integer; every value is bounded by
+        p, so rounding is exact (see exact_rint).  Entries at the singular
+        fibers lambda = 0, 1 are set to 0.
         """
         p = self.p
         x = np.arange(p, dtype=np.int64)
-        x1 = x * ((x - 1) % p) % p
-        out = np.zeros(p, dtype=np.int64)
-        chunk = max(1, (1 << 22) // p)
-        for lo in range(2, p, chunk):
-            lams = np.arange(lo, min(lo + chunk, p), dtype=np.int64)
-            f = x1[None, :] * ((x[None, :] - lams[:, None]) % p) % p
-            out[lams] = -self.legendre[f].sum(axis=1)
+        phi_x1 = np.fft.rfft(self.legendre[x * (x - 1) % p])
+        phi = np.fft.rfft(self.legendre)
+        # irfft(F(a) * conj(F(b)))[k] = sum_y a[y + k] * b[y]
+        out = -exact_rint(np.fft.irfft(phi_x1 * phi.conj(), p))
+        out[:2] = 0
         return out
 
     def jacobi_sum_order4(self) -> CyclotomicInt4:

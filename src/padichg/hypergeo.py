@@ -38,6 +38,20 @@ value at most 2*sqrt(p), recorded as GnValue.claimed_bound, making the
 exact signed integer recoverable from the residue.  The tilde variants
 subtract a correction at lambda = -1 so that the value there becomes
 the Frobenius trace a_p(-1) instead of 0.
+
+family_sweep evaluates a family at every lambda at once, exactly, in
+O(p log p).  With s_j the coefficient vector and zeta = omega(g), each
+value is (up to a twist and sign) W(v) = sum_j s_j zeta^(j v) mod p^2
+at v = -dlog(t(lambda)).  The identity j v = C(j+v, 2) - C(j, 2) - C(v, 2),
+C(n, 2) = n(n-1)/2, makes W one linear correlation of s_j zeta^(-C(j,2))
+with zeta^(C(m,2)).  That correlation is exact: residues mod p^2 < 2^32
+split into three 11-bit limbs, the limb correlations run as float FFTs,
+each output is rounded to the nearest integer, and the limbs recombine
+mod p^2 in int64.  A rounding residual of 0.25 or more raises
+PrecisionExhaustedError, and every lifted value is checked against the
+Hasse bound.  A tilde sweep copies the cached plain sweep and patches
+the entry at lambda = -1.  The a_p sweep is one length-p cyclic
+correlation of quadratic-character sequences (field.frobenius_sweep).
 """
 
 from __future__ import annotations
@@ -54,8 +68,15 @@ from .errors import (
     PrecisionExhaustedError,
     WrongResidueClassError,
 )
-from .field import PrimeContext
-from .padic import GammaTable, ResidueMod, frac_bracket, teichmuller
+from .field import PrimeContext, exact_rint
+from .padic import (
+    GammaTable,
+    ResidueMod,
+    frac_bracket,
+    mulmod,
+    residue_dtype,
+    teichmuller,
+)
 
 G2_UPPER = (Fraction(2, 3), Fraction(2, 3))
 G2_LOWER = (Fraction(5, 12), Fraction(11, 12))
@@ -76,10 +97,13 @@ G6_LOWER = (
     Fraction(11, 12),
 )
 
-# int64 sweep kernel: products of two residues mod p^2 must stay below 2^63
+# int64 sweep: products of two residues mod p^2 must stay below 2^63
 MAX_SWEEP_PRIME = 55000
 
 SWEEP_FAMILIES = ("2g2", "6g6", "2g2t", "6g6t", "ap")
+
+# j-block length for the coefficient vector
+_COEFF_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -169,31 +193,42 @@ def _coefficients(
          pow(f.denominator * p2, -1, pn))
         for f in bb
     ]
-    gr = table.gamma_residue
-    s = [0] * p2
-    for j in range(p2):
-        e = 0
-        unit = 1
+    rd = residue_dtype(pn)
+    pw = np.array(pw, dtype=rd)
+    # j*d and u*(p-1) +- j*d stay below 4 * max(m); past 2^63, Python ints
+    m_max = max(t[-2] for t in a_data + b_data)
+    jtype = np.int64 if 4 * m_max < 2**63 else object
+
+    gamma = table.vectorized()
+
+    def gamma_at(k: np.ndarray, minv: int) -> np.ndarray:
+        # Gamma_p(k / m) mod p^n for numerators k mod m
+        return gamma(mulmod((k % pn).astype(rd), minv, pn))
+
+    s: list[int] = []
+    # blocks of j keep the temporaries small next to the O(p) tables
+    for lo in range(0, p2, _COEFF_BLOCK):
+        j = np.arange(lo, min(lo + _COEFF_BLOCK, p2), dtype=jtype)
+        e = np.zeros(len(j), dtype=np.int64)
+        unit = np.ones(len(j), dtype=rd)
         for d, up2, m, minv in a_data:
             jd = j * d
-            if jd > up2:
-                e += 1
-            unit = unit * gr((up2 - jd) % m * minv % pn) % pn
+            e += jd > up2
+            unit = mulmod(unit, gamma_at((up2 - jd) % m, minv), pn)
         for d, thr, up2, m, minv in b_data:
             jd = j * d
-            if jd >= thr:
-                e -= 1
-            unit = unit * gr((up2 + jd) % m * minv % pn) % pn
+            e -= jd >= thr
+            unit = mulmod(unit, gamma_at((up2 + jd) % m, minv), pn)
         es = e + p_shift
-        if es < 0:
+        if np.any(es < 0):
+            i = int(np.flatnonzero(es < 0)[0])
             raise PrecisionExhaustedError(
-                f"term j={j} has p-adic valuation {es} < 0; "
+                f"term j={lo + i} has p-adic valuation {int(es[i])} < 0; "
                 "a larger p_shift is required for integrality"
             )
-        v = unit * pw[es] % pn
-        if (j * nlen + e) & 1:
-            v = pn - v if v else 0
-        s[j] = v
+        v = mulmod(unit, pw[es], pn)
+        odd = (np.arange(lo, lo + len(j)) * nlen + e) % 2 == 1
+        s += np.where(odd, (pn - v) % pn, v).tolist()
     ctx._coeff_cache[key] = s
     return s
 
@@ -331,12 +366,72 @@ def _teich_powers(ctx: PrimeContext, pn: int) -> np.ndarray:
     return hit
 
 
+# limb width for the exact correlation: with p <= MAX_SWEEP_PRIME a residue
+# mod p^2 < 2^32 takes 3 limbs, and a correlation of limbs over p - 1 terms
+# stays below 3 * 2^22 * 2^16 < 2^40, far inside float64's 2^53
+LIMB_BITS = 11
+
+
+def correlate_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
+    """X[v] = sum_j a[j] * b[j + v] mod modulus, for v = 0 .. len(b) - len(a).
+
+    a and b hold residues mod modulus (int64, modulus < 2^32).  Each is
+    split into LIMB_BITS-bit limbs; the limb correlations run as float
+    FFTs, are rounded by exact_rint (which raises PrecisionExhaustedError
+    if the rounding is not certain), and are recombined mod modulus by
+    Horner's rule in powers of 2^LIMB_BITS.
+    """
+    na, nb = len(a), len(b)
+    nlimbs = -(-(modulus - 1).bit_length() // LIMB_BITS)
+    mask = (1 << LIMB_BITS) - 1
+    # cyclic length >= nb keeps outputs na-1 .. nb-1 free of wrap-around
+    size = 1 << (nb - 1).bit_length()
+    shifts = [LIMB_BITS * i for i in range(nlimbs)]
+    fa = [np.fft.rfft((a[::-1] >> s) & mask, size) for s in shifts]
+    fb = [np.fft.rfft((b >> s) & mask, size) for s in shifts]
+    out = np.zeros(nb - na + 1, dtype=np.int64)
+    # limb pairs (i, k - i) carry weight 2^(LIMB_BITS k); highest k first
+    for k in range(2 * nlimbs - 2, -1, -1):
+        lo, hi = max(0, k - nlimbs + 1), min(k, nlimbs - 1)
+        spec = sum(fa[i] * fb[k - i] for i in range(lo, hi + 1))
+        ck = exact_rint(np.fft.irfft(spec, size)[na - 1 : nb])
+        out = ((out << LIMB_BITS) + ck) % modulus
+    return out
+
+
+def _dft_mod(coeff: np.ndarray, tp: np.ndarray, pn: int) -> np.ndarray:
+    """W[v] = sum_j coeff[j] * zeta^(j v) mod pn for v = 0 .. p-2.
+
+    zeta = omega(g) and tp[m] = zeta^m.  Through
+    j v = C(j+v, 2) - C(j, 2) - C(v, 2), with C(n, 2) = n(n-1)/2, W is
+    zeta^(-C(v,2)) times the linear correlation of
+    coeff[j] * zeta^(-C(j,2)) with zeta^(C(m,2)), m = 0 .. 2p-4.
+    """
+    n = len(tp)
+    m = np.arange(2 * n - 1, dtype=np.int64)
+    chirp = m * (m - 1) // 2 % n
+    unchirp = tp[-chirp[:n] % n]
+    x = correlate_mod(coeff * unchirp % pn, tp[chirp], pn)[:n]
+    return x * unchirp % pn
+
+
 def family_sweep(ctx: PrimeContext, family: str) -> np.ndarray:
     """Exact integer values of a family at every lambda in 0 .. p-1.
 
     Families: 2g2, 2g2t (p = 1 mod 6), 6g6, 6g6t (p = 2 mod 3), ap.
     Entries at structural zeros (lambda = 0, and lambda = p-1 for the
     untilded families) are 0; ap has zeros at lambda = 0, 1.
+
+    A plain family's values are, up to a per-lambda twist and sign, the
+    length-(p-1) transform W(v) = sum_j s_j zeta^(j v) mod p^2 at
+    v = -dlog(t(lambda)).  W is computed for all v at once in
+    O(p log p): the identity j v = C(j+v, 2) - C(j, 2) - C(v, 2) turns it
+    into one linear correlation (_dft_mod), evaluated exactly by
+    LIMB_BITS-bit limbs and float FFTs (correlate_mod).  Any rounding
+    residual >= 0.25 raises PrecisionExhaustedError, and every lifted
+    value is checked against the Hasse bound floor(2 sqrt p).  A tilde
+    family is its cached plain sweep with the entry at lambda = p-1
+    patched to -correction_term(); ap comes from frobenius_sweep.
     """
     p = ctx.p
     if family not in SWEEP_FAMILIES:
@@ -346,11 +441,15 @@ def family_sweep(ctx: PrimeContext, family: str) -> np.ndarray:
         return cached
     if family == "ap":
         return _cache_sweep(ctx, family, ctx.frobenius_sweep())
+    if family.endswith("t"):
+        out = family_sweep(ctx, family[:-1]).copy()
+        out[p - 1] = -ctx.correction_term()
+        return _cache_sweep(ctx, family, out)
     if p > MAX_SWEEP_PRIME:
         raise ValueError(
             f"p = {p} exceeds the int64 sweep kernel limit {MAX_SWEEP_PRIME}"
         )
-    if family.startswith("2g2"):
+    if family == "2g2":
         if p % 6 != 1:
             raise WrongResidueClassError(f"2G2 needs p = 1 (mod 6); p = {p}")
         upper, lower, shift = G2_UPPER, G2_LOWER, 1
@@ -364,46 +463,33 @@ def family_sweep(ctx: PrimeContext, family: str) -> np.ndarray:
     pn = table.modulus
     s = _coefficients(ctx, table, upper, lower, shift)
     coeff = np.asarray(s, dtype=np.int64)
-    if family.startswith("2g2"):
+    if family == "2g2":
         coeff = coeff * _psi6_of_2(p, 2) % pn
     tp = _teich_powers(ctx, pn)
+    w_all = _dft_mod(coeff, tp, pn)
 
     lam = np.arange(p, dtype=np.int64)
     lam1 = (lam + 1) % p
-    if family.startswith("2g2"):
+    if family == "2g2":
         u = ctx.dlog[4 % p] + ctx.dlog[lam] - 2 * ctx.dlog[lam1]
     else:
         u = 6 * ctx.dlog[2] + 3 * ctx.dlog[lam] - 6 * ctx.dlog[lam1]
     valid = np.nonzero((lam != 0) & (lam != p - 1))[0]
-    v = (-u[valid]) % (p - 1)
-    if family.startswith("2g2"):
+    w = w_all[(-u[valid]) % (p - 1)]
+    if family == "2g2":
         # dlog of the per-lambda cubic twist psi3(4(1+lam)^2/lam)
         tw = ctx.dlog[4 % p] + 2 * ctx.dlog[lam1[valid]] - ctx.dlog[lam[valid]]
-        tw = (p - 1) // 3 * tw % (p - 1)
-    else:
-        tw = np.zeros(len(valid), dtype=np.int64)
+        w = w * tp[(p - 1) // 3 * tw % (p - 1)] % pn
 
     bound = math.isqrt(4 * p)
+    signed = np.where(w <= bound, w, w - pn)
+    if np.any(np.abs(signed) > bound):
+        raise NoRepresentativeError(
+            "sweep produced a residue outside the integrality bound"
+        )
     out = np.zeros(p, dtype=np.int64)
-    j = np.arange(p - 1, dtype=np.int64)
-    chunk = max(1, (1 << 22) // p)
-    for lo in range(0, len(valid), chunk):
-        vc = v[lo : lo + chunk]
-        idx = vc[:, None] * j[None, :] % (p - 1)
-        terms = tp[idx]
-        terms *= coeff[None, :]
-        terms %= pn
-        w = terms.sum(axis=1) % pn
-        w = w * tp[tw[lo : lo + chunk]] % pn
-        signed = np.where(w <= bound, w, w - pn)
-        if np.any(np.abs(signed) > bound):
-            raise NoRepresentativeError(
-                "sweep produced a residue outside the integrality bound"
-            )
-        out[valid[lo : lo + chunk]] = signed
+    out[valid] = signed
     out *= ctx.legendre[lam1]
-    if family.endswith("t"):
-        out[p - 1] = -ctx.correction_term()
     return _cache_sweep(ctx, family, out)
 
 

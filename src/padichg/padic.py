@@ -23,6 +23,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable
+
+import numpy as np
 
 from .errors import (
     ArgumentNotRepresentableError,
@@ -159,6 +162,31 @@ def teichmuller(p: int, t: int, n: int) -> int:
     return a
 
 
+def residue_dtype(modulus: int):
+    """numpy dtype for arrays of residues mod modulus: int64 when they fit."""
+    return np.int64 if modulus < 2**63 else object
+
+
+def mulmod(a: np.ndarray, b, modulus: int) -> np.ndarray:
+    """a * b mod modulus elementwise, for residues of residue_dtype(modulus).
+
+    b is an array or an int of residues too; the result keeps a's dtype.
+    int64 residues multiply directly while modulus^2 < 2^63; up to 2^50
+    the float quotient is off by at most one, so the remainder comes
+    exactly from wrapping uint64 arithmetic; past that, through Python ints.
+    """
+    if a.dtype == object or modulus * modulus < 2**63:
+        return a * b % modulus
+    if modulus < 2**50:
+        b = np.asarray(b)
+        q = np.floor(a * b.astype(float) / modulus).astype(np.uint64)
+        r = a.astype(np.uint64) * b.astype(np.uint64) - q * np.uint64(modulus)
+        r = r.view(np.int64)
+        r = np.where(r < 0, r + modulus, r)
+        return np.where(r >= modulus, r - modulus, r)
+    return (a.astype(object) * b % modulus).astype(np.int64)
+
+
 def _batch_inverses(limit: int, modulus: int) -> list[int]:
     """inv[c] = c^{-1} mod modulus for 1 <= c < limit, via one pow call."""
     pref = [1] * limit
@@ -262,6 +290,47 @@ class GammaTable:
         if (q + rem) % 2:
             val = pn - val if val else 0
         return val
+
+    def vectorized(self) -> Callable[[np.ndarray], np.ndarray]:
+        """gamma_residue lifted to arrays of residues mod p^n.
+
+        The returned function maps an array of dtype residue_dtype(p^n) to
+        an array of the same dtype.  It holds numpy copies of the O(p)
+        tables, built here, which live only as long as the function.
+        """
+        p, pn = self.p, self.modulus
+        if self._fact is None:
+            return lambda r: np.array(
+                [self.gamma_residue(x) for x in r.tolist()], dtype=object
+            )
+        dtype = residue_dtype(pn)
+        fact, e2, w_lo, w_hi = (
+            None if t is None else np.array(t, dtype=dtype)
+            for t in (self._fact, self._e2, self._w_lo, self._w_hi)
+        )
+        # only h1 mod p^(n-1) matters, as h1 is always multiplied by p
+        h1 = None if self._h1 is None else np.array(self._h1, dtype=dtype) % (pn // p)
+
+        def gamma(r: np.ndarray) -> np.ndarray:
+            q, rem = r // p, r % p
+            k = (rem - 1).astype(np.int64)  # -1 where rem = 0, masked below
+            qi = q.astype(np.int64)
+            part = fact[k]
+            if h1 is not None:
+                # q*p*H mod p^n = p * (q*H mod p^(n-1))
+                corr = 1 + p * mulmod(q, h1[k], pn // p)
+                if e2 is not None:
+                    # q^2 p^2 E mod p^3 = p^2 * (q^2 E mod p)
+                    corr += p * p * ((qi % p) ** 2 % p * e2[k] % p)
+                part = mulmod(part, corr % pn, pn)
+            part = np.where(rem == 0, 1, part)
+            wq = w_lo[qi % p]
+            if w_hi is not None:
+                wq = mulmod(wq, w_hi[qi // p], pn)
+            val = mulmod(wq, part, pn)
+            return np.where((qi + k) % 2 == 0, (pn - val) % pn, val)
+
+        return gamma
 
     def _gamma_naive(self, m: int) -> int:
         # literal Morita product; only used at precision n >= 4

@@ -141,6 +141,17 @@ def _results(suite: str, merged: dict[str, list], order: Sequence[str]) -> list[
     return out
 
 
+def _twisted_trace_fails(
+    p: int, label: str, twist_name: str, g: np.ndarray, s: int, ap: np.ndarray
+) -> list[str]:
+    """One failure string per lambda in 2 .. p-2 where g != s * a_p."""
+    bad = np.flatnonzero(g[2 : p - 1] != s * ap[2 : p - 1]) + 2
+    return [
+        f"p={p} lambda={lam}: {label}={int(g[lam])}, {twist_name}*ap={s * int(ap[lam])}"
+        for lam in bad.tolist()
+    ]
+
+
 def _identities_worker(p: int) -> _Frag:
     ctx = make_prime_ctx(p)
     frag: _Frag = {}
@@ -149,11 +160,7 @@ def _identities_worker(p: int) -> _Frag:
     if p % 3 == 1:
         g = family_sweep(ctx, "2g2")
         s = ctx.legendre_symbol(-2)
-        fails = [
-            f"p={p} lambda={lam}: 2G2={int(g[lam])}, phi(-2)*ap={s * int(ap[lam])}"
-            for lam in range(2, p - 1)
-            if int(g[lam]) != s * int(ap[lam])
-        ]
+        fails = _twisted_trace_fails(p, "2G2", "phi(-2)", g, s, ap)
         frag["2g2-matches-phi(-2)-ap"] = (1, p - 3, fails)
         if int(g[1]) != s:
             sp_fails.append(f"p={p}: 2G2(1)={int(g[1])}, phi(-2)={s}")
@@ -167,11 +174,7 @@ def _identities_worker(p: int) -> _Frag:
     else:
         g = family_sweep(ctx, "6g6")
         s = ctx.legendre_symbol(-1)
-        fails = [
-            f"p={p} lambda={lam}: 6G6={int(g[lam])}, phi(-1)*ap={s * int(ap[lam])}"
-            for lam in range(2, p - 1)
-            if int(g[lam]) != s * int(ap[lam])
-        ]
+        fails = _twisted_trace_fails(p, "6G6", "phi(-1)", g, s, ap)
         frag["6g6-matches-phi(-1)-ap"] = (1, p - 3, fails)
         if int(g[p - 1]) != 0:
             sp_fails.append(f"p={p}: 6G6(-1)={int(g[p - 1])} != 0")

@@ -198,6 +198,15 @@ class TestVerify:
         assert results and all(r["ok"] for r in results)
         assert set(results[0]) == {"suite", "name", "ok", "detail"}
 
+    @pytest.mark.parametrize("bounds", [("300", "200"), ("2", "4")])
+    def test_empty_range_fails(self, capsys, bounds):
+        pmin, pmax = bounds
+        code, out, _ = run_cli(
+            capsys, "verify", "--pmin", pmin, "--pmax", pmax, "--suite", "all"
+        )
+        assert code == 1
+        assert out == f"# 0/0 checks passed (primes {pmin}..{pmax}, suite all)\n"
+
 
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "row.csv"

@@ -1,5 +1,6 @@
 """Hypergeometric evaluators: definition sums, wrappers, lifts, sweeps."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -21,12 +22,16 @@ from padichg import (
     family_sweep,
     lift_signed,
 )
+from padichg import GammaTable, make_prime_ctx
+from padichg.field import exact_rint
 from padichg.hypergeo import (
     G2_LOWER,
     G2_UPPER,
     G6_LOWER,
     G6_UPPER,
     MAX_SWEEP_PRIME,
+    _coefficients,
+    correlate_mod,
 )
 
 from oracles import (
@@ -205,3 +210,98 @@ class TestFamilySweep:
         p = small_primes(MAX_SWEEP_PRIME + 1, MAX_SWEEP_PRIME + 200)[0]
         with pytest.raises(ValueError):
             family_sweep(ctx_of(p), "2g2")  # limit precedes the class gate
+
+
+class TestExactTransforms:
+    """The O(p log p) sweeps against scalar evaluation and point counts."""
+
+    @pytest.mark.parametrize("p, fam", [(1009, "2g2"), (1013, "6g6")])
+    def test_sweeps_match_scalar_eval(self, ctx_of, table_of, p, fam):
+        ctx, tab = ctx_of(p), table_of(p)
+        plain = family_sweep(ctx, fam)
+        tilde = family_sweep(ctx, fam + "t")
+        for lam in range(p):
+            assert int(plain[lam]) == eval_family(ctx, tab, fam, lam).lift(), lam
+        assert np.array_equal(tilde[: p - 1], plain[: p - 1])
+        assert int(tilde[p - 1]) == eval_family(ctx, tab, fam + "t", p - 1).lift()
+        ap = ctx.frobenius_sweep()
+        for lam in random.Random(p).sample(range(2, p), 30):
+            assert int(ap[lam]) == ap_point_count(p, lam), lam
+
+    @pytest.mark.parametrize("p, fam, twist", [(54979, "2g2", -2), (54983, "6g6", -1)])
+    def test_largest_sweep_primes(self, p, fam, twist):
+        # the largest primes of each class under MAX_SWEEP_PRIME: residues
+        # mod p^2 take all 3 limbs and the int64 products peak here
+        cls = 6 if fam == "2g2" else 3
+        assert p % cls == (1 if fam == "2g2" else 2)
+        assert all(q % cls != p % cls for q in small_primes(p + 1, MAX_SWEEP_PRIME))
+        ctx = make_prime_ctx(p)
+        g = family_sweep(ctx, fam)
+        ap = family_sweep(ctx, "ap")
+        s = ctx.legendre_symbol(twist)
+        assert np.array_equal(g[2 : p - 1], s * ap[2 : p - 1])
+        for lam in random.Random(p).sample(range(2, p - 1), 20):
+            a = ctx.trace_frobenius(lam)
+            assert (int(ap[lam]), int(g[lam])) == (a, s * a), lam
+
+    def test_correlate_mod_matches_direct_sum(self):
+        rng = np.random.default_rng(5)
+        modulus = 54983**2
+        a = rng.integers(0, modulus, 37)
+        b = rng.integers(0, modulus, 100)
+        want = [
+            sum(int(a[j]) * int(b[j + v]) for j in range(len(a))) % modulus
+            for v in range(len(b) - len(a) + 1)
+        ]
+        assert correlate_mod(a, b, modulus).tolist() == want
+
+    def test_rounding_guard(self):
+        # products past 2^53: the float correlation no longer holds integers
+        rng = np.random.default_rng(7)
+        a = rng.integers(0, 1 << 40, 4096).astype(float)
+        b = rng.integers(0, 1 << 40, 4096).astype(float)
+        c = np.fft.irfft(np.fft.rfft(a) * np.fft.rfft(b).conj(), 4096)
+        with pytest.raises(PrecisionExhaustedError):
+            exact_rint(c)
+        assert exact_rint(np.array([2.2, -3.24, 0.0])).tolist() == [2, -3, 0]
+        with pytest.raises(PrecisionExhaustedError):
+            exact_rint(np.array([1.0, 5.25]))
+
+    @pytest.mark.parametrize("p", [7, 11, 13, 101, 103])
+    def test_coefficients_object_dtype(self, monkeypatch, p):
+        rows = (G2_UPPER, G2_LOWER, 1) if p % 3 == 1 else (G6_UPPER, G6_LOWER, 0)
+        want = {}
+        for n in (2, 3):
+            ctx = make_prime_ctx(p)
+            want[n] = _coefficients(ctx, GammaTable(ctx, n), *rows)
+        monkeypatch.setattr("padichg.padic.residue_dtype", lambda modulus: object)
+        monkeypatch.setattr("padichg.hypergeo.residue_dtype", lambda modulus: object)
+        for n in (2, 3):
+            ctx = make_prime_ctx(p)
+            got = _coefficients(ctx, GammaTable(ctx, n), *rows)
+            assert got == want[n]
+            assert all(type(x) is int for x in got)
+        assert [x % p**2 for x in want[3]] == want[2]
+
+    @pytest.mark.parametrize("p", [1451, 1453])
+    def test_coefficients_wide_products(self, ctx_of, p):
+        # p^6 > 2^63: the n = 3 products go through Python ints
+        assert p**6 >= 2**63
+        rows = (G2_UPPER, G2_LOWER, 1) if p % 3 == 1 else (G6_UPPER, G6_LOWER, 0)
+        ctx = ctx_of(p)
+        c2 = _coefficients(ctx, GammaTable(ctx, 2), *rows)
+        c3 = _coefficients(ctx, GammaTable(ctx, 3), *rows)
+        assert [x % p**2 for x in c3] == c2
+        tab = GammaTable(ctx, 3)
+        r = np.array(random.Random(p).sample(range(p**3), 200), dtype=np.int64)
+        assert tab.vectorized()(r).tolist() == [tab.gamma_residue(x) for x in r.tolist()]
+
+    def test_tilde_leaves_plain_cache_intact(self):
+        ctx = make_prime_ctx(1009)
+        plain = family_sweep(ctx, "2g2")
+        before = plain.copy()
+        tilde = family_sweep(ctx, "2g2t")
+        assert family_sweep(ctx, "2g2") is plain
+        assert np.array_equal(plain, before)
+        assert not plain.flags.writeable and not tilde.flags.writeable
+        assert int(tilde[1008]) == -ctx.correction_term() != int(plain[1008])

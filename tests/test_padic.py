@@ -1,7 +1,9 @@
 """Truncated residues, Teichmuller lifts, and the p-adic gamma table."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from padichg import (
@@ -22,6 +24,7 @@ from padichg import (
     teichmuller,
 )
 from padichg.errors import ArgumentNotRepresentableError
+from padichg.padic import mulmod
 
 from oracles import gamma_morita, teichmuller_limit
 
@@ -186,3 +189,20 @@ def test_shift_identity(table_of):
     assert gamma_shift_check(table_of(11), 3, 5)
     with pytest.raises(ArgumentNotRepresentableError):
         gamma_shift_check(table_of(7), 7, 1)
+
+
+@pytest.mark.parametrize(
+    "modulus",
+    # direct int64, float quotient (both ends), Python ints
+    [3037000499, 3037000501, 29017**3, 2**50 - 1, 2**50 + 1, 2**63 - 25],
+)
+def test_mulmod_paths(modulus):
+    rng = random.Random(modulus)
+    top = modulus - 1
+    a = [rng.randrange(modulus) for _ in range(2000)] + [top, 0, top - 1]
+    b = [rng.randrange(modulus) for _ in range(2000)] + [top, top, top - 1]
+    got = mulmod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), modulus)
+    assert got.dtype == np.int64
+    assert got.tolist() == [x * y % modulus for x, y in zip(a, b)]
+    got = mulmod(np.array(a, dtype=np.int64), b[0], modulus)
+    assert got.tolist() == [x * b[0] % modulus for x in a]
