@@ -73,7 +73,6 @@ from .padic import (
     GammaTable,
     ResidueMod,
     frac_bracket,
-    mulmod,
     residue_dtype,
     teichmuller,
 )
@@ -195,30 +194,27 @@ def _coefficients(
     ]
     rd = residue_dtype(pn)
     pw = np.array(pw, dtype=rd)
-    # j*d and u*(p-1) +- j*d stay below 4 * max(m); past 2^63, Python ints
-    m_max = max(t[-2] for t in a_data + b_data)
-    jtype = np.int64 if 4 * m_max < 2**63 else object
 
     gamma = table.vectorized()
 
     def gamma_at(k: np.ndarray, minv: int) -> np.ndarray:
         # Gamma_p(k / m) mod p^n for numerators k mod m
-        return gamma(mulmod((k % pn).astype(rd), minv, pn))
+        return gamma((k % pn).astype(rd) * minv % pn)
 
     s: list[int] = []
     # blocks of j keep the temporaries small next to the O(p) tables
     for lo in range(0, p2, _COEFF_BLOCK):
-        j = np.arange(lo, min(lo + _COEFF_BLOCK, p2), dtype=jtype)
+        j = np.arange(lo, min(lo + _COEFF_BLOCK, p2), dtype=np.int64)
         e = np.zeros(len(j), dtype=np.int64)
         unit = np.ones(len(j), dtype=rd)
         for d, up2, m, minv in a_data:
             jd = j * d
             e += jd > up2
-            unit = mulmod(unit, gamma_at((up2 - jd) % m, minv), pn)
+            unit = unit * gamma_at((up2 - jd) % m, minv) % pn
         for d, thr, up2, m, minv in b_data:
             jd = j * d
             e -= jd >= thr
-            unit = mulmod(unit, gamma_at((up2 + jd) % m, minv), pn)
+            unit = unit * gamma_at((up2 + jd) % m, minv) % pn
         es = e + p_shift
         if np.any(es < 0):
             i = int(np.flatnonzero(es < 0)[0])
@@ -226,7 +222,7 @@ def _coefficients(
                 f"term j={lo + i} has p-adic valuation {int(es[i])} < 0; "
                 "a larger p_shift is required for integrality"
             )
-        v = mulmod(unit, pw[es], pn)
+        v = unit * pw[es] % pn
         odd = (np.arange(lo, lo + len(j)) * nlen + e) % 2 == 1
         s += np.where(odd, (pn - v) % pn, v).tolist()
     ctx._coeff_cache[key] = s

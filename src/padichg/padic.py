@@ -163,28 +163,12 @@ def teichmuller(p: int, t: int, n: int) -> int:
 
 
 def residue_dtype(modulus: int):
-    """numpy dtype for arrays of residues mod modulus: int64 when they fit."""
-    return np.int64 if modulus < 2**63 else object
+    """numpy dtype for arrays of residues mod modulus.
 
-
-def mulmod(a: np.ndarray, b, modulus: int) -> np.ndarray:
-    """a * b mod modulus elementwise, for residues of residue_dtype(modulus).
-
-    b is an array or an int of residues too; the result keeps a's dtype.
-    int64 residues multiply directly while modulus^2 < 2^63; up to 2^50
-    the float quotient is off by at most one, so the remainder comes
-    exactly from wrapping uint64 arithmetic; past that, through Python ints.
+    int64 while a product of two residues fits (modulus^2 < 2^63), so that
+    a * b % modulus is exact; Python ints (object) otherwise.
     """
-    if a.dtype == object or modulus * modulus < 2**63:
-        return a * b % modulus
-    if modulus < 2**50:
-        b = np.asarray(b)
-        q = np.floor(a * b.astype(float) / modulus).astype(np.uint64)
-        r = a.astype(np.uint64) * b.astype(np.uint64) - q * np.uint64(modulus)
-        r = r.view(np.int64)
-        r = np.where(r < 0, r + modulus, r)
-        return np.where(r >= modulus, r - modulus, r)
-    return (a.astype(object) * b % modulus).astype(np.int64)
+    return np.int64 if modulus * modulus < 2**63 else object
 
 
 def _batch_inverses(limit: int, modulus: int) -> list[int]:
@@ -317,17 +301,16 @@ class GammaTable:
             qi = q.astype(np.int64)
             part = fact[k]
             if h1 is not None:
-                # q*p*H mod p^n = p * (q*H mod p^(n-1))
-                corr = 1 + p * mulmod(q, h1[k], pn // p)
+                # q p H + q^2 p^2 E mod p^n = p * (q H + p (q^2 E mod p) mod p^(n-1))
+                x = q * h1[k]
                 if e2 is not None:
-                    # q^2 p^2 E mod p^3 = p^2 * (q^2 E mod p)
-                    corr += p * p * ((qi % p) ** 2 % p * e2[k] % p)
-                part = mulmod(part, corr % pn, pn)
+                    x += p * ((qi % p) ** 2 % p * e2[k] % p)
+                part = part * (1 + p * (x % (pn // p))) % pn
             part = np.where(rem == 0, 1, part)
             wq = w_lo[qi % p]
             if w_hi is not None:
-                wq = mulmod(wq, w_hi[qi // p], pn)
-            val = mulmod(wq, part, pn)
+                wq = wq * w_hi[qi // p] % pn
+            val = wq * part % pn
             return np.where((qi + k) % 2 == 0, (pn - val) % pn, val)
 
         return gamma

@@ -285,7 +285,7 @@ class TestExactTransforms:
 
     @pytest.mark.parametrize("p", [1451, 1453])
     def test_coefficients_wide_products(self, ctx_of, p):
-        # p^6 > 2^63: the n = 3 products go through Python ints
+        # p^6 > 2^63: the n = 3 residues are Python ints (object dtype)
         assert p**6 >= 2**63
         rows = (G2_UPPER, G2_LOWER, 1) if p % 3 == 1 else (G6_UPPER, G6_LOWER, 0)
         ctx = ctx_of(p)

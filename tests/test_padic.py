@@ -1,5 +1,6 @@
 """Truncated residues, Teichmuller lifts, and the p-adic gamma table."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from padichg import (
     teichmuller,
 )
 from padichg.errors import ArgumentNotRepresentableError
-from padichg.padic import mulmod
+from padichg.padic import residue_dtype
 
 from oracles import gamma_morita, teichmuller_limit
 
@@ -191,18 +192,22 @@ def test_shift_identity(table_of):
         gamma_shift_check(table_of(7), 7, 1)
 
 
-@pytest.mark.parametrize(
-    "modulus",
-    # direct int64, float quotient (both ends), Python ints
-    [3037000499, 3037000501, 29017**3, 2**50 - 1, 2**50 + 1, 2**63 - 25],
-)
-def test_mulmod_paths(modulus):
-    rng = random.Random(modulus)
-    top = modulus - 1
-    a = [rng.randrange(modulus) for _ in range(2000)] + [top, 0, top - 1]
-    b = [rng.randrange(modulus) for _ in range(2000)] + [top, top, top - 1]
-    got = mulmod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), modulus)
-    assert got.dtype == np.int64
-    assert got.tolist() == [x * y % modulus for x, y in zip(a, b)]
-    got = mulmod(np.array(a, dtype=np.int64), b[0], modulus)
-    assert got.tolist() == [x * b[0] % modulus for x in a]
+def test_residue_dtype_boundary():
+    # int64 exactly while a product of two residues fits in 63 bits
+    top = math.isqrt(2**63 - 1)
+    assert residue_dtype(top) is np.int64
+    assert residue_dtype(top + 1) is object
+    assert residue_dtype(1447**3) is np.int64
+    assert residue_dtype(1451**3) is object
+
+
+def test_vectorized_gamma_at_int64_edge(ctx_of):
+    # 1447 is the largest prime with int64 residues mod p^3; take q = r // p
+    # near its top, where q * h1 and the products are largest
+    p = 1447
+    tab = GammaTable(ctx_of(p), 3)
+    rng = random.Random(p)
+    r = [p**3 - 1 - rng.randrange(p**2) for _ in range(300)]
+    r += rng.sample(range(p**3), 300)
+    got = tab.vectorized()(np.array(r, dtype=np.int64))
+    assert got.tolist() == [tab.gamma_residue(x) for x in r]
