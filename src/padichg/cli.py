@@ -31,7 +31,7 @@ from .hypergeo import (
 )
 from .padic import build_gamma_table
 from .stats import distribution_report, moment_sum
-from .verify import SUITES, default_threads, primes_between, run_suite
+from .verify import SUITES, primes_between, run_suite
 
 _EVAL_FAMILIES = ("2g2", "6g6", "2g2t", "6g6t")
 
@@ -71,10 +71,6 @@ def _emit_rows(
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    if args.function not in _EVAL_FAMILIES:
-        raise PadicHGError(
-            f"eval supports functions {_EVAL_FAMILIES}; got {args.function!r}"
-        )
     if args.function.startswith("6g6") and args.prime % 3 != 2:
         raise WrongResidueClassError(
             f"the 6G6 integer lift needs p = 2 (mod 3); p = {args.prime}"
@@ -98,7 +94,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    ctx = make_prime_ctx(args.prime, args.precision)
+    ctx = make_prime_ctx(args.prime)
     values = family_sweep(ctx, args.function)
     start = 2 if args.function == "ap" else 0
     rs = math.sqrt(ctx.p)
@@ -113,7 +109,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
-    ctx = make_prime_ctx(args.prime, args.precision)
+    if args.m_max < 1:
+        raise PadicHGError(f"--m-max must be >= 1; got {args.m_max}")
+    ctx = make_prime_ctx(args.prime)
     rows = []
     for m in range(1, args.m_max + 1):
         rep = moment_sum(ctx, args.function, m)
@@ -125,7 +123,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 
 def cmd_distribution(args: argparse.Namespace) -> int:
-    ctx = make_prime_ctx(args.prime, args.precision)
+    ctx = make_prime_ctx(args.prime)
     rep = distribution_report(ctx, args.function, args.bins)
     header = [
         "bin_left",
@@ -169,7 +167,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         raise PadicHGError("trace needs --prime, or both --pmin and --pmax")
     rows = []
     for p in primes:
-        ctx = make_prime_ctx(p, args.precision)
+        ctx = make_prime_ctx(p)
         fn = trace_level4 if args.level == 4 else trace_level8
         rows.append([p, args.weight, args.level, fn(ctx, args.weight)])
     _emit_rows(args, ["p", "k", "level", "trace"], rows)
@@ -177,7 +175,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_suite(args.suite, args.pmin, args.pmax, args.threads)
+    results = run_suite(args.suite, args.pmin, args.pmax)
     if args.format == "json":
         payload = [
             {"suite": r.suite, "name": r.name, "ok": r.ok, "detail": r.detail}
@@ -209,27 +207,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument(
-            "--precision",
-            type=int,
-            default=3,
-            help="working p-adic precision (digits of p, >= 2; default 3)",
-        )
-        sp.add_argument(
             "--format", choices=("csv", "json"), default="csv", help="output format"
         )
         sp.add_argument("--output", default=None, help="output path (default stdout)")
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=default_threads(),
-            help="worker threads (default: PADICHG_THREADS or CPU count); "
-            "output is identical for any value",
-        )
 
     sp = sub.add_parser("eval", help="one family value at one lambda")
     sp.add_argument("--prime", type=int, required=True)
     sp.add_argument("--function", required=True, choices=_EVAL_FAMILIES)
     sp.add_argument("--lambda", dest="lam", type=int, required=True)
+    sp.add_argument(
+        "--precision",
+        type=int,
+        default=3,
+        help="working p-adic precision (digits of p, 2 or 3; default 3)",
+    )
     common(sp)
     sp.set_defaults(fn=cmd_eval)
 

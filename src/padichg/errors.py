@@ -18,7 +18,7 @@ class PrimeTooSmallError(PadicHGError):
 
 
 class BadPrecisionError(PadicHGError):
-    """Requested working precision is not a positive integer."""
+    """Requested precision is not one the evaluators support (at most 3)."""
 
 
 class SingularLambdaError(PadicHGError):

@@ -119,7 +119,7 @@ class PrimeContext:
 
     Attributes:
         p: the prime.
-        precision: working p-adic precision (digits of p; >= 2).
+        precision: working p-adic precision (digits of p; 2 or 3).
         g: the smallest primitive root mod p.
         pow_g: pow_g[k] = g**k mod p for 0 <= k < p - 1.
         dlog: dlog[x] = k with g**k = x mod p; dlog[0] = -1 as a sentinel.
@@ -131,9 +131,9 @@ class PrimeContext:
             raise NotPrimeError(f"{p} is not prime")
         if p < 5:
             raise PrimeTooSmallError(f"p = {p} < 5 is not supported")
-        if not isinstance(precision, int) or precision < 2:
+        if not isinstance(precision, int) or not 2 <= precision <= 3:
             raise BadPrecisionError(
-                f"working precision {precision} must be an integer >= 2"
+                f"working precision {precision} must be 2 or 3"
             )
         self.p = p
         self.precision = precision

@@ -12,6 +12,9 @@ via
     Tr_k(Gamma_0(4), p) = -3 - sum_{lambda=2}^{p-1} P_k(tilde(lambda), p)
     Tr_k(Gamma_0(8), p) = -4 - sum_{lambda=2}^{p-2} P_k(tilde(lambda^2), p).
 
+Both sums run over the histogram of the tilde values (stats.value_counts),
+so P_k is evaluated once per distinct value, not once per lambda.
+
 The level-8 sum stops at p-2: lambda = p-1 would square to 1, the
 singular fiber, where tilde carries the regularized special value rather
 than a Frobenius trace; including it is inconsistent with the eta oracle
@@ -27,11 +30,14 @@ as the independent oracle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import BadWeightError, NonIntegralLeadingPowerError
 from .field import PrimeContext
 from .hypergeo import family_sweep
+from .stats import value_counts
 
 
 def _check_weight(k: int) -> None:
@@ -52,6 +58,12 @@ def pk_poly(k: int, s: int, p: int) -> int:
     return u
 
 
+def pk_sum(values: np.ndarray, k: int, p: int) -> int:
+    """sum of P_k(v, p) over an array of values with |v| <= 2 sqrt(p)."""
+    atoms, counts = value_counts(values, math.isqrt(4 * p))
+    return sum(c * pk_poly(k, v, p) for v, c in zip(atoms.tolist(), counts.tolist()))
+
+
 def tilde_sweep(ctx: PrimeContext) -> np.ndarray:
     """The regularized sweep the trace formulas consume, picked by p mod 3."""
     family = "2g2t" if ctx.p % 3 == 1 else "6g6t"
@@ -61,21 +73,14 @@ def tilde_sweep(ctx: PrimeContext) -> np.ndarray:
 def trace_level4(ctx: PrimeContext, k: int) -> int:
     """Trace of the p-th Hecke operator on S_k(Gamma_0(4))."""
     _check_weight(k)
-    tl = tilde_sweep(ctx)
-    p = ctx.p
-    total = sum(pk_poly(k, int(tl[lam]), p) for lam in range(2, p))
-    return -3 - total
+    return -3 - pk_sum(tilde_sweep(ctx)[2:], k, ctx.p)
 
 
 def trace_level8(ctx: PrimeContext, k: int) -> int:
     """Trace of the p-th Hecke operator on S_k(Gamma_0(8))."""
     _check_weight(k)
-    tl = tilde_sweep(ctx)
-    p = ctx.p
-    total = sum(
-        pk_poly(k, int(tl[lam * lam % p]), p) for lam in range(2, p - 1)
-    )
-    return -4 - total
+    lam = np.arange(2, ctx.p - 1)
+    return -4 - pk_sum(tilde_sweep(ctx)[lam * lam % ctx.p], k, ctx.p)
 
 
 def euler_factor_coeffs(scale: int, n_max: int) -> list[int]:

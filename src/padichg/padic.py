@@ -3,7 +3,7 @@
 Working precision is a modulus p^n: a ResidueMod is an element of Z/p^n
 standing for a p-adic integer known to n digits.  GammaTable evaluates
 Gamma_p at any p-adic integer argument mod p^n in O(1) after an O(p)
-precompute, for n <= 3; larger n falls back to the literal product.
+precompute, for n <= 3, the largest precision it supports.
 
 The O(1) evaluation rests on a block identity: for p >= 5 the product of
 the prime-to-p integers in any length-p block, prod_{c=1}^{p-1} (ip + c),
@@ -185,7 +185,7 @@ def _batch_inverses(limit: int, modulus: int) -> list[int]:
 
 
 class GammaTable:
-    """Evaluates Morita's Gamma_p mod p^n, O(1) per call for n <= 3."""
+    """Evaluates Morita's Gamma_p mod p^n, O(1) per call, for 1 <= n <= 3."""
 
     __slots__ = (
         "ctx",
@@ -201,17 +201,14 @@ class GammaTable:
     )
 
     def __init__(self, ctx: PrimeContext, n: int = 2):
-        if not isinstance(n, int) or n < 1:
-            raise BadPrecisionError(f"precision n = {n} must be >= 1")
+        if not isinstance(n, int) or not 1 <= n <= 3:
+            raise BadPrecisionError(f"precision n = {n} must be 1, 2 or 3")
         self.ctx = ctx
         self.p = ctx.p
         self.n = n
         self.modulus = ctx.p**n
         self._frac_cache: dict = {}
-        if n <= 3:
-            self._build_fast_tables()
-        else:
-            self._fact = None
+        self._build_fast_tables()
 
     def _build_fast_tables(self) -> None:
         p, pn = self.p, self.modulus
@@ -254,8 +251,6 @@ class GammaTable:
         r %= pn
         if r == 0:
             return 1  # Gamma_p(0) = 1
-        if self._fact is None:
-            return self._gamma_naive(r)
         m = r
         q, rem = divmod(m, p)
         if rem == 0:
@@ -283,10 +278,6 @@ class GammaTable:
         tables, built here, which live only as long as the function.
         """
         p, pn = self.p, self.modulus
-        if self._fact is None:
-            return lambda r: np.array(
-                [self.gamma_residue(x) for x in r.tolist()], dtype=object
-            )
         dtype = residue_dtype(pn)
         fact, e2, w_lo, w_hi = (
             None if t is None else np.array(t, dtype=dtype)
@@ -314,15 +305,6 @@ class GammaTable:
             return np.where((qi + k) % 2 == 0, (pn - val) % pn, val)
 
         return gamma
-
-    def _gamma_naive(self, m: int) -> int:
-        # literal Morita product; only used at precision n >= 4
-        pn = self.modulus
-        acc = 1
-        for j in range(1, m):
-            if j % self.p:
-                acc = acc * j % pn
-        return acc if m % 2 == 0 else (pn - acc) % pn
 
     def fraction_residue(self, x: Fraction) -> int:
         """The residue mod p^n of a rational that is a p-adic integer."""

@@ -8,7 +8,11 @@ semicircle CDF
 
     F(t) = 1/2 + t*sqrt(4-t^2)/(4*pi) + arcsin(t/2)/pi,
 
-computed from the sorted samples, never from bins.
+computed from the step CDF at the atoms, never from bins.
+
+Every reduction reads a sweep through value_counts: its values are
+integers in [-2 sqrt(p), 2 sqrt(p)], so O(sqrt(p)) (value, count) pairs
+carry everything the moments, the K-S distance and the histogram need.
 """
 
 from __future__ import annotations
@@ -54,6 +58,22 @@ def family_values(ctx: PrimeContext, family: str) -> np.ndarray:
     return sweep
 
 
+def value_counts(values: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of an integer array, ascending, and their counts.
+
+    Every value must be >= -bound; one bincount over the shifted values
+    replaces a sort.
+    """
+    counts = np.bincount(values + bound)
+    nonzero = np.flatnonzero(counts)
+    return nonzero - bound, counts[nonzero]
+
+
+def power_sum(atoms: np.ndarray, counts: np.ndarray, m: int) -> int:
+    """sum of v^m over a sample given by value_counts, as an exact integer."""
+    return sum(c * v**m for v, c in zip(atoms.tolist(), counts.tolist()))
+
+
 def catalan(n: int) -> int:
     """The n-th Catalan number (2n)! / (n! (n+1)!)."""
     return math.comb(2 * n, n) // (n + 1)
@@ -69,7 +89,7 @@ def moment_sum(ctx: PrimeContext, family: str, m: int) -> MomentReport:
     if m < 1:
         raise ValueError("moment order m must be >= 1")
     vals = family_values(ctx, family)
-    total = sum(int(v) ** m for v in vals.tolist())
+    total = power_sum(*value_counts(vals, math.isqrt(4 * ctx.p)), m)
     normalized = total / ctx.p ** (m / 2 + 1)
     expected = float(catalan(m // 2)) if m % 2 == 0 else 0.0
     return MomentReport(ctx.p, family, m, total, normalized, expected)
@@ -104,20 +124,20 @@ def _semicircle_cdf_array(t: np.ndarray) -> np.ndarray:
     )
 
 
-def ks_statistic(samples: np.ndarray) -> float:
-    """Exact sup |empirical CDF - semicircle CDF| over the sample points.
+def ks_statistic(atoms: np.ndarray, counts: np.ndarray) -> float:
+    """Exact sup |empirical CDF - semicircle CDF| of a sample of atoms.
 
-    Uses the sorted-sample formula max_i max(F(x_i) - i/n,
-    (i+1)/n - F(x_i)), which attains the supremum of the step-function
-    difference.
+    atoms are the distinct sample points, ascending, and counts their
+    multiplicities.  The step-function difference attains its supremum at
+    an atom x: with lo and hi the numbers of samples below x and up to x,
+    it is max(F(x) - lo/n, hi/n - F(x)).
     """
-    x = np.sort(np.asarray(samples, dtype=np.float64))
-    n = len(x)
+    hi = np.cumsum(counts)
+    n = int(hi[-1]) if len(hi) else 0
     if n == 0:
         raise ValueError("empty sample")
-    f = _semicircle_cdf_array(x)
-    i = np.arange(n, dtype=np.float64)
-    return float(max((f - i / n).max(), ((i + 1) / n - f).max()))
+    f = _semicircle_cdf_array(np.asarray(atoms, dtype=np.float64))
+    return float(max((f - (hi - counts) / n).max(), (hi / n - f).max()))
 
 
 def distribution_report(
@@ -126,10 +146,10 @@ def distribution_report(
     """Histogram of value/sqrt(p) on [-2, 2] plus the exact K-S distance."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    vals = family_values(ctx, family)
-    samples = vals / math.sqrt(ctx.p)
-    counts, edges = np.histogram(samples, bins=bins, range=(-2.0, 2.0))
-    n = len(samples)
+    atoms, mult = value_counts(family_values(ctx, family), math.isqrt(4 * ctx.p))
+    points = atoms / math.sqrt(ctx.p)
+    counts, edges = np.histogram(points, bins=bins, range=(-2.0, 2.0), weights=mult)
+    n = int(mult.sum())
     rows = []
     for b in range(bins):
         left, right = float(edges[b]), float(edges[b + 1])
@@ -145,5 +165,5 @@ def distribution_report(
             )
         )
     return DistributionReport(
-        ctx.p, family, rows, ks_statistic(samples), n
+        ctx.p, family, rows, ks_statistic(points, mult), n
     )

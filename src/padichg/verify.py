@@ -26,26 +26,20 @@ exhaustive bound run only inside that bound (noted per check): the
 multiplication/shift formulas and float Gauss checks at p <= 100,
 orthogonality at p <= 200, the decomposition identity at p <= 100, and
 the Hasse-bound scan at p <= 199 (the anchor checks cover large p).
-
-Workers parallelize over primes with a thread pool; results are merged
-in prime order, so output is deterministic for any thread count.
-The PADICHG_THREADS environment variable sets the default pool size.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .field import PrimeContext, make_prime_ctx
-from .hecke import newform_coefficients, pk_poly, trace_level4, trace_level8
+from .hecke import newform_coefficients, pk_sum, trace_level4, trace_level8
 from .hypergeo import eval_family, family_sweep
 from .padic import (
     build_gamma_table,
@@ -54,7 +48,7 @@ from .padic import (
     reflection_check,
     teichmuller,
 )
-from .stats import distribution_report, moment_sum
+from .stats import distribution_report, moment_sum, power_sum, value_counts
 
 SUITES = ("identities", "gamma", "gauss", "moments", "traces")
 
@@ -86,25 +80,6 @@ def primes_between(lo: int, hi: int) -> list[int]:
         if sieve[q]:
             sieve[q * q :: q] = False
     return [int(n) for n in np.nonzero(sieve)[0] if n >= lo]
-
-
-def default_threads() -> int:
-    """Worker count from PADICHG_THREADS, else the CPU count."""
-    env = os.environ.get("PADICHG_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
-def _pmap(fn: Callable, items: Sequence, threads: int) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as ex:
-        return list(ex.map(fn, items))
 
 
 # fragment: check name -> (primes touched, cases run, failure strings)
@@ -345,10 +320,12 @@ def _moments_worker(p: int) -> _Frag:
         ap = family_sweep(ctx, "ap")
         s = ctx.legendre_symbol(-2)
         g1, apm1 = int(g[1]), int(ap[p - 1])
+        bound = math.isqrt(4 * p)
+        g_counts, ap_counts = value_counts(g, bound), value_counts(ap[2:], bound)
         dc_fails = []
         for m in range(1, 7):
-            lhs = sum(int(v) ** m for v in g.tolist())
-            tail = sum(int(ap[lam]) ** m for lam in range(2, p))
+            lhs = power_sum(*g_counts, m)
+            tail = power_sum(*ap_counts, m)
             rhs = g1**m - s**m * apm1**m + s**m * tail
             if lhs != rhs:
                 dc_fails.append(f"p={p} m={m}: lhs={lhs}, rhs={rhs}")
@@ -430,9 +407,10 @@ def _traces_worker(p: int, eta6: list[int], eta8: list[int]) -> _Frag:
     )
 
     ap = family_sweep(ctx, "ap")
-    b44 = -3 - sum(pk_poly(4, int(ap[lam]), p) for lam in range(2, p))
-    b46 = -3 - sum(pk_poly(6, int(ap[lam]), p) for lam in range(2, p))
-    b84 = -4 - sum(pk_poly(4, int(ap[lam * lam % p]), p) for lam in range(2, p - 1))
+    lam = np.arange(2, p - 1)
+    b44 = -3 - pk_sum(ap[2:], 4, p)
+    b46 = -3 - pk_sum(ap[2:], 6, p)
+    b84 = -4 - pk_sum(ap[lam * lam % p], 4, p)
     bd_fails = []
     if (b44, b46, b84) != (t44, t46, t84):
         bd_fails.append(
@@ -458,34 +436,28 @@ _TRACE_ORDER = (
 )
 
 
-def run_suite(
-    suite: str,
-    pmin: int = 5,
-    pmax: int = 199,
-    threads: int | None = None,
-) -> list[CheckResult]:
-    """Run one named suite (or 'all') over primes in [pmin, pmax]."""
+def run_suite(suite: str, pmin: int = 5, pmax: int = 199) -> list[CheckResult]:
+    """Run one named suite (or 'all') over primes in [pmin, pmax], in order."""
     if suite == "all":
         out = []
         for s in SUITES:
-            out.extend(run_suite(s, pmin, pmax, threads))
+            out.extend(run_suite(s, pmin, pmax))
         return out
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
-    nthreads = threads if threads is not None else default_threads()
     primes = primes_between(max(pmin, 5), pmax)
 
     if suite == "identities":
-        frags = _pmap(_identities_worker, primes, nthreads)
+        frags = map(_identities_worker, primes)
         return _results(suite, _merge(frags), _IDENTITY_ORDER)
     if suite == "gamma":
-        frags = _pmap(_gamma_worker, primes, nthreads)
+        frags = map(_gamma_worker, primes)
         return _results(suite, _merge(frags), _GAMMA_ORDER)
     if suite == "gauss":
-        frags = _pmap(_gauss_worker, primes, nthreads)
+        frags = map(_gauss_worker, primes)
         return _results(suite, _merge(frags), _GAUSS_ORDER)
     if suite == "moments":
-        frags = _pmap(_moments_worker, primes, nthreads)
+        frags = map(_moments_worker, primes)
         out = _results(suite, _merge(frags), _MOMENT_ORDER)
         out.extend(_anchor_results(pmin, pmax))
         return out
@@ -495,5 +467,5 @@ def run_suite(
     n_max = max(primes)
     eta6 = newform_coefficients(4, 6, n_max)
     eta8 = newform_coefficients(8, 4, n_max)
-    frags = _pmap(lambda p: _traces_worker(p, eta6, eta8), primes, nthreads)
+    frags = (_traces_worker(p, eta6, eta8) for p in primes)
     return _results(suite, _merge(frags), _TRACE_ORDER)

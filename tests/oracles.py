@@ -164,6 +164,19 @@ def companion_closed_form(k: int, s: int, p: int) -> int:
     )
 
 
+def ks_sorted_samples(samples, cdf) -> float:
+    """Kolmogorov-Smirnov distance of a sample to a CDF, by sorting.
+
+    max_i max(F(x_i) - i/n, (i+1)/n - F(x_i)) over the sorted samples x_i
+    attains the supremum of |empirical CDF - F|.  cdf maps the sorted list
+    of samples to the list of their F values, so that a test can hand in
+    the very CDF evaluation the code under test uses.
+    """
+    xs = sorted(samples)
+    n = len(xs)
+    return max(max(f - i / n, (i + 1) / n - f) for i, f in enumerate(cdf(xs)))
+
+
 def semicircle_cdf_quadrature(t: float, steps: int = 200_000) -> float:
     """Integral of sqrt(4-u^2)/(2 pi) from -2 to t by the midpoint rule."""
     t = max(-2.0, min(2.0, t))

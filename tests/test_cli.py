@@ -56,6 +56,14 @@ class TestEval:
         assert code == 2
         assert "p = 2 (mod 3)" in err
 
+    def test_precision_above_three_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "--prime", "1009", "--function", "2g2",
+            "--lambda", "3", "--precision", "4",
+        )
+        assert (code, out) == (2, "")
+        assert "precision 4 must be 2 or 3" in err
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "--prime", "7", "--function", "2g2",
@@ -90,6 +98,12 @@ class TestSweep:
         assert lines[1].startswith("2,")
         assert len(lines) == 1 + 5
 
+    def test_precision_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--prime", "7", "--function", "2g2", "--precision", "9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --precision 9" in capsys.readouterr().err
+
 
 class TestMoments:
     def test_pinned_rows(self, capsys):
@@ -114,6 +128,13 @@ class TestMoments:
         assert rows[1] == {
             "m": 2, "sum": 33, "normalized": 0.673469387755, "expected": 1.0,
         }
+
+    def test_no_moment_order_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "moments", "--prime", "7", "--function", "2g2", "--m-max", "0"
+        )
+        assert (code, out) == (2, "")
+        assert "--m-max must be >= 1" in err
 
 
 class TestDistribution:
@@ -176,17 +197,6 @@ class TestVerify:
         lines = out.splitlines()
         assert all(ln.startswith("PASS") for ln in lines[:-1])
         assert lines[-1].endswith("(primes 5..60, suite identities)")
-
-    def test_thread_count_does_not_change_output(self, capsys):
-        outs = []
-        for threads in ("1", "4"):
-            code, out, _ = run_cli(
-                capsys, "verify", "--pmin", "5", "--pmax", "40",
-                "--suite", "traces", "--threads", threads,
-            )
-            assert code == 0
-            outs.append(out)
-        assert outs[0] == outs[1]
 
     def test_json_mode(self, capsys):
         code, out, _ = run_cli(

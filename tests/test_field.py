@@ -32,8 +32,9 @@ def test_ctx_rejects_bad_input():
         make_prime_ctx(9)
     with pytest.raises(PrimeTooSmallError):
         make_prime_ctx(3)
-    with pytest.raises(BadPrecisionError):
-        make_prime_ctx(7, precision=1)
+    for precision in (1, 4):
+        with pytest.raises(BadPrecisionError):
+            make_prime_ctx(7, precision=precision)
 
 
 def test_primitive_root_and_tables(ctx_of):

@@ -97,6 +97,17 @@ class TestTraces:
             assert trace_level4(ctx_of(p), 6) == eta6[p], p
             assert trace_level8(ctx_of(p), 4) == eta8[p], p
 
+    def test_matches_per_lambda_sum(self, ctx_of):
+        for p in small_primes(5, 200):
+            tl = tilde_sweep(ctx_of(p)).tolist()
+            for k in (4, 6, 8):
+                want4 = -3 - sum(pk_poly(k, tl[lam], p) for lam in range(2, p))
+                want8 = -4 - sum(
+                    pk_poly(k, tl[lam * lam % p], p) for lam in range(2, p - 1)
+                )
+                assert trace_level4(ctx_of(p), k) == want4, (p, k)
+                assert trace_level8(ctx_of(p), k) == want8, (p, k)
+
     def test_dispatch_by_residue_class(self, ctx_of):
         import numpy as np
 

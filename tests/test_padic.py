@@ -137,10 +137,13 @@ class TestGammaTable:
         )
 
     def test_low_precision_and_naive_fallback(self, ctx_of):
-        for n in (1, 2, 4):
+        for n in (1, 2):
             t = GammaTable(ctx_of(5), n)
             for m in range(60):
                 assert t.gamma_residue(m) == gamma_morita(5, n, m)
+        # above n = 3 only the literal O(p^n) product would remain
+        with pytest.raises(BadPrecisionError):
+            GammaTable(ctx_of(5), 4)
 
     def test_entries(self, table_of):
         t = table_of(7)

@@ -13,9 +13,18 @@ from padichg import (
     semicircle_cdf,
     semicircle_density,
 )
-from padichg.stats import family_values
+from padichg.stats import _semicircle_cdf_array, family_values, value_counts
 
-from oracles import ap_point_count, semicircle_cdf_quadrature
+from oracles import (
+    ap_point_count,
+    ks_sorted_samples,
+    semicircle_cdf_quadrature,
+    small_primes,
+)
+
+
+def semicircle_cdf_list(xs):
+    return _semicircle_cdf_array(np.array(xs, dtype=np.float64)).tolist()
 
 
 def test_catalan():
@@ -49,6 +58,23 @@ class TestMomentSum:
         with pytest.raises(ValueError):
             moment_sum(ctx_of(7), "2g2", 0)
 
+    def test_matches_per_lambda_sum(self, ctx_of):
+        for p in small_primes(5, 200) + [1009, 1013]:
+            fams = ("ap", "2g2", "2g2t") if p % 3 == 1 else ("ap", "6g6", "6g6t")
+            for fam in fams:
+                vals = family_values(ctx_of(p), fam).tolist()
+                for m in range(1, 7):
+                    want = sum(int(v) ** m for v in vals)
+                    assert moment_sum(ctx_of(p), fam, m).sum == want, (p, fam, m)
+
+
+def test_value_counts():
+    atoms, counts = value_counts(np.array([3, -2, 3, 0, -2, 3]), 4)
+    assert atoms.tolist() == [-2, 0, 3]
+    assert counts.tolist() == [2, 1, 3]
+    with pytest.raises(ValueError):
+        value_counts(np.array([-5, 1]), 4)
+
 
 def test_family_values_domains(ctx_of):
     assert len(family_values(ctx_of(7), "2g2")) == 7
@@ -75,11 +101,11 @@ class TestSemicircle:
 class TestKSStatistic:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            ks_statistic(np.array([]))
+            ks_statistic(np.array([]), np.array([], dtype=np.int64))
 
     def test_point_mass(self):
         # all mass at 0 vs F(0) = 1/2: the gap is exactly 1/2
-        assert ks_statistic(np.zeros(50)) == pytest.approx(0.5)
+        assert ks_statistic(np.zeros(1), np.array([50])) == pytest.approx(0.5)
 
     def test_quantile_sample_is_close(self):
         # x_i = F^{-1}((i + 1/2)/n) gives D_n = 1/(2n)
@@ -95,7 +121,25 @@ class TestKSStatistic:
                 else:
                     hi = mid
             xs.append(lo)
-        assert ks_statistic(np.array(xs)) == pytest.approx(1 / (2 * n), abs=1e-6)
+        ks = ks_statistic(np.array(xs), np.ones(n, dtype=np.int64))
+        assert ks == pytest.approx(1 / (2 * n), abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ties_match_sorted_sample_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 3000))
+        spread = int(rng.integers(1, 12))
+        vals = rng.integers(-spread, spread + 1, size) + rng.binomial(spread, 0.3, size)
+        scale = spread / 1.9
+        atoms, counts = value_counts(vals, 2 * spread)
+        want = ks_sorted_samples((vals / scale).tolist(), semicircle_cdf_list)
+        assert ks_statistic(atoms / scale, counts) == want
+
+    def test_matches_sorted_sample_formula_at_10009(self, ctx_of):
+        rep = distribution_report(ctx_of(10009), "2g2")
+        samples = family_values(ctx_of(10009), "2g2") / math.sqrt(10009)
+        want = ks_sorted_samples(samples.tolist(), semicircle_cdf_list)
+        assert rep.ks_distance == want
 
 
 class TestDistributionReport:
@@ -107,7 +151,8 @@ class TestDistributionReport:
         edges = [row[0] for row in rep.rows] + [rep.rows[-1][1]]
         assert edges == [-2.0, -1.0, 0.0, 1.0, 2.0]
         samples = family_values(ctx_of(7), "2g2") / math.sqrt(7)
-        assert rep.ks_distance == ks_statistic(samples)
+        want = ks_sorted_samples(samples.tolist(), semicircle_cdf_list)
+        assert rep.ks_distance == want
 
     def test_density_columns(self, ctx_of):
         rep = distribution_report(ctx_of(11), "6g6", bins=8)

@@ -1,9 +1,9 @@
-"""Verification-suite plumbing: prime ranges, threading, result merging."""
+"""Verification-suite plumbing: prime ranges and result merging."""
 
 import pytest
 
 from padichg import primes_between, run_suite
-from padichg.verify import SUITES, default_threads
+from padichg.verify import SUITES
 
 from oracles import small_primes
 
@@ -15,22 +15,13 @@ def test_primes_between_matches_trial_division():
     assert primes_between(100, 5) == []
 
 
-def test_default_threads_env(monkeypatch):
-    monkeypatch.setenv("PADICHG_THREADS", "3")
-    assert default_threads() == 3
-    monkeypatch.setenv("PADICHG_THREADS", "0")
-    assert default_threads() == 1
-    monkeypatch.setenv("PADICHG_THREADS", "nope")
-    assert default_threads() >= 1
-
-
 def test_unknown_suite():
     with pytest.raises(ValueError):
         run_suite("everything", 5, 20)
 
 
 def test_identities_suite_small_range():
-    results = run_suite("identities", 5, 40, threads=2)
+    results = run_suite("identities", 5, 40)
     assert results and all(r.ok for r in results)
     names = [r.name for r in results]
     assert "2g2-matches-phi(-2)-ap" in names
@@ -39,12 +30,6 @@ def test_identities_suite_small_range():
 
 
 def test_all_runs_every_suite():
-    results = run_suite("all", 5, 20, threads=2)
+    results = run_suite("all", 5, 20)
     assert {r.suite for r in results} == set(SUITES)
     assert all(r.ok for r in results)
-
-
-def test_thread_invariance():
-    a = run_suite("gamma", 5, 30, threads=1)
-    b = run_suite("gamma", 5, 30, threads=4)
-    assert a == b
