@@ -37,10 +37,6 @@ from .hecke import (
 from .hypergeo import (
     GnValue,
     eval_family,
-    eval_g2,
-    eval_g2_tilde,
-    eval_g6,
-    eval_g6_tilde,
     eval_gn,
     family_sweep,
     lift_signed,
@@ -99,10 +95,6 @@ __all__ = [
     "distribution_report",
     "eta_product_coeffs",
     "eval_family",
-    "eval_g2",
-    "eval_g2_tilde",
-    "eval_g6",
-    "eval_g6_tilde",
     "eval_gn",
     "family_sweep",
     "floor_bracket",

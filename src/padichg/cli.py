@@ -20,20 +20,21 @@ import json
 import math
 import sys
 
-from .errors import PadicHGError, WrongResidueClassError
+from .errors import PadicHGError
 from .field import make_prime_ctx
 from .hecke import trace_level4, trace_level8
 from .hypergeo import (
+    EVAL_FAMILIES,
+    PLAIN_FAMILIES,
     SWEEP_FAMILIES,
     eval_family,
     family_sweep,
     lift_signed,
+    require_integral,
 )
 from .padic import build_gamma_table
 from .stats import distribution_report, moment_sum
 from .verify import SUITES, primes_between, run_suite
-
-_EVAL_FAMILIES = ("2g2", "6g6", "2g2t", "6g6t")
 
 
 def _fmt(x: float) -> str:
@@ -71,11 +72,8 @@ def _emit_rows(
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    if args.function.startswith("6g6") and args.prime % 3 != 2:
-        raise WrongResidueClassError(
-            f"the 6G6 integer lift needs p = 2 (mod 3); p = {args.prime}"
-        )
     ctx = make_prime_ctx(args.prime, args.precision)
+    require_integral(args.function, ctx.p)
     table = build_gamma_table(ctx)
     value = lift_signed(eval_family(ctx, table, args.function, args.lam))
     normalized = value / math.sqrt(ctx.p)
@@ -213,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eval", help="one family value at one lambda")
     sp.add_argument("--prime", type=int, required=True)
-    sp.add_argument("--function", required=True, choices=_EVAL_FAMILIES)
+    sp.add_argument("--function", required=True, choices=EVAL_FAMILIES)
     sp.add_argument("--lambda", dest="lam", type=int, required=True)
     sp.add_argument(
         "--precision",
@@ -232,14 +230,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("moments", help="power-moment sums m = 1 .. m-max")
     sp.add_argument("--prime", type=int, required=True)
-    sp.add_argument("--function", required=True, choices=("2g2", "6g6", "ap"))
+    sp.add_argument("--function", required=True, choices=(*PLAIN_FAMILIES, "ap"))
     sp.add_argument("--m-max", dest="m_max", type=int, default=4)
     common(sp)
     sp.set_defaults(fn=cmd_moments)
 
     sp = sub.add_parser("distribution", help="histogram and K-S distance")
     sp.add_argument("--prime", type=int, required=True)
-    sp.add_argument("--function", required=True, choices=("2g2", "6g6", "ap"))
+    sp.add_argument("--function", required=True, choices=(*PLAIN_FAMILIES, "ap"))
     sp.add_argument("--bins", type=int, default=40)
     common(sp)
     sp.set_defaults(fn=cmd_distribution)

@@ -30,20 +30,27 @@ Two specializations of interest, both zero at lambda = 0 and -1:
 In its theorem class (p = 1 mod 6 for 2G2, p = 2 mod 3 for 6G6) each
 value equals the twisted Frobenius trace of the Legendre curve
 y^2 = x(x-1)(x-lambda), namely phi(-2) a_p(lambda) for 2G2 and
-phi(-1) a_p(lambda) for 6G6.  The cubic-character factor in 2G2 is what
-makes that identity hold on every fiber; without it the bare sum is off
-by psi3(lambda/(4(1+lambda)^2)), which is a non-real unit for a third of
-the lambdas.  Each value is therefore a rational integer of absolute
-value at most 2*sqrt(p), recorded as GnValue.claimed_bound, making the
-exact signed integer recoverable from the residue.  The tilde variants
-subtract a correction at lambda = -1 so that the value there becomes
-the Frobenius trace a_p(-1) instead of 0.
+phi(-1) a_p(lambda) for 6G6.  Each value is therefore a rational integer
+of absolute value at most 2*sqrt(p), recorded as GnValue.claimed_bound,
+making the exact signed integer recoverable from the residue.  The
+tilde variants subtract a correction at lambda = -1 so that the value
+there becomes the Frobenius trace a_p(-1) instead of 0.
+
+The cubic twist of 2G2 is what makes that identity hold on every fiber;
+without it the bare sum is off by a non-real unit for a third of the
+lambdas.  With t the argument of the sum, 16/t = 4(1+lambda)^2/lambda
+and psi3 = psi6^2, so the twist is psi6(2)^9 psi3(t)^(-1)
+= phi(2) omega(t)^(-(p-1)/3): the sextic character drops out.  Writing
+p^p_shift nGn(t) = sum_j s_j omega(t)^(-j), the _FAMILIES table reads
+
+    2G2(lambda) = phi(2(1+lambda)) * sum_j s_j omega(t)^(-(j + (p-1)/3)),
+    6G6(lambda) = phi(1+lambda)    * sum_j s_j omega(t)^(-j).
 
 family_sweep evaluates a family at every lambda at once, exactly, in
-O(p log p).  With s_j the coefficient vector and zeta = omega(g), each
-value is (up to a twist and sign) W(v) = sum_j s_j zeta^(j v) mod p^2
-at v = -dlog(t(lambda)).  The identity j v = C(j+v, 2) - C(j, 2) - C(v, 2),
-C(n, 2) = n(n-1)/2, makes W one linear correlation of s_j zeta^(-C(j,2))
+O(p log p).  With c_j the rotated coefficients and zeta = omega(g), each
+value is (up to its sign) W(v) = sum_j c_j zeta^(j v) mod p^2 at
+v = -dlog(t(lambda)).  The identity j v = C(j+v, 2) - C(j, 2) - C(v, 2),
+C(n, 2) = n(n-1)/2, makes W one linear correlation of c_j zeta^(-C(j,2))
 with zeta^(C(m,2)).  That correlation is exact: residues mod p^2 < 2^32
 split into three 11-bit limbs, the limb correlations run as float FFTs,
 each output is rounded to the nearest integer, and the limbs recombine
@@ -99,8 +106,6 @@ G6_LOWER = (
 # int64 sweep: products of two residues mod p^2 must stay below 2^63
 MAX_SWEEP_PRIME = 55000
 
-SWEEP_FAMILIES = ("2g2", "6g6", "2g2t", "6g6t", "ap")
-
 # j-block length for the coefficient vector
 _COEFF_BLOCK = 4096
 
@@ -118,6 +123,30 @@ class GnValue:
 
     def lift(self) -> int:
         return lift_signed(self)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One Legendre family, in the form of the module docstring."""
+
+    label: str
+    upper: tuple[Fraction, ...]
+    lower: tuple[Fraction, ...]
+    p_shift: int
+    t_coeffs: tuple[int, int, int]  # (k, a, b): t = k lambda^a (1+lambda)^b
+    rotation: Fraction  # the index j is shifted by rotation * (p-1)
+    sign: int  # the sign is phi(sign * (1+lambda))
+    p_class: tuple[int, int]  # (m, r): integral exactly when p = r (mod m)
+
+
+_FAMILIES = {
+    "2g2": _Family("2G2", G2_UPPER, G2_LOWER, 1, (4, 1, -2), Fraction(1, 3), 2, (6, 1)),
+    "6g6": _Family("6G6", G6_UPPER, G6_LOWER, 0, (64, 3, -6), Fraction(0), 1, (3, 2)),
+}
+PLAIN_FAMILIES = tuple(_FAMILIES)
+# scalar families: the plain ones and their tilde variants "<name>t"
+EVAL_FAMILIES = (*PLAIN_FAMILIES, *(name + "t" for name in PLAIN_FAMILIES))
+SWEEP_FAMILIES = (*EVAL_FAMILIES, "ap")
 
 
 def lift_signed(v: GnValue) -> int:
@@ -256,87 +285,53 @@ def eval_gn(
     return ResidueMod(acc, p, table.n)
 
 
-def _psi6_of_2(p: int, n: int) -> int:
-    """psi6(2) = omega(2)^((p-1)/6) mod p^n, for p = 1 (mod 6)."""
-    return pow(teichmuller(p, 2, n), (p - 1) // 6, p**n)
+def _lookup(family: str) -> _Family:
+    if family not in EVAL_FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return _FAMILIES[family.removesuffix("t")]
 
 
-def eval_g2(ctx: PrimeContext, table: GammaTable, lam: int) -> GnValue:
-    """2G2(lambda) for p = 1 (mod 6); equals phi(-2) a_p(lambda)."""
-    p, pn = ctx.p, table.modulus
-    if p % 6 != 1:
-        raise WrongResidueClassError(f"2G2 needs p = 1 (mod 6); p = {p}")
-    bound = math.isqrt(4 * p)
-    lam %= p
-    if lam == 0 or lam == p - 1:
-        return GnValue(ResidueMod(0, p, table.n), bound)
-    t = 4 * lam * pow(1 + lam, -2, p) % p
-    inner = eval_gn(ctx, table, G2_UPPER, G2_LOWER, t, p_shift=1)
-    # psi3(4(1+lam)^2/lam): cubic twist carried by the wrapper, not the sum
-    arg = 4 * (1 + lam) * (1 + lam) * pow(lam, -1, p) % p
-    chi3 = pow(teichmuller(p, arg, table.n), (p - 1) // 3, pn)
-    val = inner.value * _psi6_of_2(p, table.n) % pn * chi3 % pn
-    if ctx.legendre_symbol(1 + lam) < 0:
-        val = pn - val if val else 0
-    return GnValue(ResidueMod(val, p, table.n), bound)
-
-
-def eval_g6(ctx: PrimeContext, table: GammaTable, lam: int) -> GnValue:
-    """6G6(lambda) for any p >= 5; integral with bound when p = 2 (mod 3)."""
-    p, pn = ctx.p, table.modulus
-    bound = math.isqrt(4 * p) if p % 3 == 2 else None
-    lam %= p
-    if lam == 0 or lam == p - 1:
-        return GnValue(ResidueMod(0, p, table.n), bound)
-    t = 64 * pow(lam, 3, p) * pow(1 + lam, -6, p) % p
-    inner = eval_gn(ctx, table, G6_UPPER, G6_LOWER, t)
-    val = inner.value
-    if ctx.legendre_symbol(1 + lam) < 0:
-        val = pn - val if val else 0
-    return GnValue(ResidueMod(val, p, table.n), bound)
-
-
-def eval_g2_tilde(ctx: PrimeContext, table: GammaTable, lam: int) -> GnValue:
-    """2G2 with the lambda = -1 value regularized to a_p(-1)."""
-    p = ctx.p
-    if lam % p == p - 1:
-        if p % 6 != 1:
-            raise WrongResidueClassError(f"2G2 needs p = 1 (mod 6); p = {p}")
-        corr = ctx.correction_term()
-        return GnValue(
-            ResidueMod(-corr, p, table.n), math.isqrt(4 * p)
+def _check_class(fam: _Family, p: int) -> None:
+    m, r = fam.p_class
+    if p % m != r:
+        raise WrongResidueClassError(
+            f"{fam.label} has integer values only for p = {r} (mod {m}); p = {p}"
         )
-    return eval_g2(ctx, table, lam)
 
 
-def eval_g6_tilde(ctx: PrimeContext, table: GammaTable, lam: int) -> GnValue:
-    """6G6 with the lambda = -1 value regularized to a_p(-1)."""
-    p = ctx.p
-    if lam % p == p - 1:
-        corr = ctx.correction_term()
-        return GnValue(
-            ResidueMod(-corr, p, table.n), math.isqrt(4 * p)
-        )
-    return eval_g6(ctx, table, lam)
-
-
-_SCALAR_EVAL = {
-    "2g2": eval_g2,
-    "6g6": eval_g6,
-    "2g2t": eval_g2_tilde,
-    "6g6t": eval_g6_tilde,
-}
+def require_integral(family: str, p: int) -> None:
+    """Raise WrongResidueClassError unless the family is integral at p."""
+    _check_class(_lookup(family), p)
 
 
 def eval_family(
     ctx: PrimeContext, table: GammaTable, family: str, lam: int
 ) -> GnValue:
-    """Scalar evaluation of one named family at one lambda."""
-    try:
-        fn = _SCALAR_EVAL[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}") from None
-    return fn(ctx, table, lam)
+    """Scalar evaluation of one named family at one lambda, mod p^n.
+
+    Outside its class 2g2 raises WrongResidueClassError, and 6g6 returns
+    a residue with no claimed bound.  A tilde family at lambda = -1 is
+    -correction_term() = a_p(-1), with the Hasse bound.
+    """
+    fam = _lookup(family)
+    p, n, pn = ctx.p, table.n, table.modulus
+    rot = fam.rotation * (p - 1)
+    if rot.denominator != 1:  # no twist omega(t)^(-rot) outside the class
+        _check_class(fam, p)
+    lam %= p
+    if lam == p - 1 and family.endswith("t"):
+        return GnValue(ResidueMod(-ctx.correction_term(), p, n), math.isqrt(4 * p))
+    m, r = fam.p_class
+    bound = math.isqrt(4 * p) if p % m == r else None
+    if lam == 0 or lam == p - 1:
+        return GnValue(ResidueMod(0, p, n), bound)
+    k, a, b = fam.t_coeffs
+    t = k * pow(lam, a, p) * pow(1 + lam, b, p) % p
+    val = eval_gn(ctx, table, fam.upper, fam.lower, t, fam.p_shift).value
+    val = val * pow(teichmuller(p, t, n), -int(rot), pn) % pn
+    if ctx.legendre_symbol(fam.sign * (1 + lam)) < 0:
+        val = -val
+    return GnValue(ResidueMod(val, p, n), bound)
 
 
 def _sweep_table(ctx: PrimeContext) -> GammaTable:
@@ -418,15 +413,16 @@ def family_sweep(ctx: PrimeContext, family: str) -> np.ndarray:
     Entries at structural zeros (lambda = 0, and lambda = p-1 for the
     untilded families) are 0; ap has zeros at lambda = 0, 1.
 
-    A plain family's values are, up to a per-lambda twist and sign, the
-    length-(p-1) transform W(v) = sum_j s_j zeta^(j v) mod p^2 at
-    v = -dlog(t(lambda)).  W is computed for all v at once in
-    O(p log p): the identity j v = C(j+v, 2) - C(j, 2) - C(v, 2) turns it
-    into one linear correlation (_dft_mod), evaluated exactly by
-    LIMB_BITS-bit limbs and float FFTs (correlate_mod).  Any rounding
-    residual >= 0.25 raises PrecisionExhaustedError, and every lifted
-    value is checked against the Hasse bound floor(2 sqrt p).  A tilde
-    family is its cached plain sweep with the entry at lambda = p-1
+    A plain family's value at lambda != 0, -1 is, up to its sign, the
+    length-(p-1) transform W(v) = sum_j c_j zeta^(j v) mod p^2 at
+    v = -dlog(t(lambda)), with c the coefficients rolled by the family's
+    rotation.  W is computed for all v at once in O(p log p): the
+    identity j v = C(j+v, 2) - C(j, 2) - C(v, 2) turns it into one linear
+    correlation (_dft_mod), evaluated exactly by LIMB_BITS-bit limbs and
+    float FFTs (correlate_mod).  Any rounding residual >= 0.25 raises
+    PrecisionExhaustedError, and every lifted value is checked against
+    the Hasse bound floor(2 sqrt p).  A tilde family is its cached plain
+    sweep with the entry at lambda = p-1
     patched to -correction_term(); ap comes from frobenius_sweep.
     """
     p = ctx.p
@@ -445,37 +441,18 @@ def family_sweep(ctx: PrimeContext, family: str) -> np.ndarray:
         raise ValueError(
             f"p = {p} exceeds the int64 sweep kernel limit {MAX_SWEEP_PRIME}"
         )
-    if family == "2g2":
-        if p % 6 != 1:
-            raise WrongResidueClassError(f"2G2 needs p = 1 (mod 6); p = {p}")
-        upper, lower, shift = G2_UPPER, G2_LOWER, 1
-    else:
-        if p % 3 != 2:
-            raise WrongResidueClassError(
-                f"the 6G6 integrality bound needs p = 2 (mod 3); p = {p}"
-            )
-        upper, lower, shift = G6_UPPER, G6_LOWER, 0
+    fam = _FAMILIES[family]
+    _check_class(fam, p)
     table = _sweep_table(ctx)
     pn = table.modulus
-    s = _coefficients(ctx, table, upper, lower, shift)
-    coeff = np.asarray(s, dtype=np.int64)
-    if family == "2g2":
-        coeff = coeff * _psi6_of_2(p, 2) % pn
-    tp = _teich_powers(ctx, pn)
-    w_all = _dft_mod(coeff, tp, pn)
+    s = _coefficients(ctx, table, fam.upper, fam.lower, fam.p_shift)
+    coeff = np.roll(np.asarray(s, dtype=np.int64), int(fam.rotation * (p - 1)))
+    w_all = _dft_mod(coeff, _teich_powers(ctx, pn), pn)
 
-    lam = np.arange(p, dtype=np.int64)
-    lam1 = (lam + 1) % p
-    if family == "2g2":
-        u = ctx.dlog[4 % p] + ctx.dlog[lam] - 2 * ctx.dlog[lam1]
-    else:
-        u = 6 * ctx.dlog[2] + 3 * ctx.dlog[lam] - 6 * ctx.dlog[lam1]
-    valid = np.nonzero((lam != 0) & (lam != p - 1))[0]
-    w = w_all[(-u[valid]) % (p - 1)]
-    if family == "2g2":
-        # dlog of the per-lambda cubic twist psi3(4(1+lam)^2/lam)
-        tw = ctx.dlog[4 % p] + 2 * ctx.dlog[lam1[valid]] - ctx.dlog[lam[valid]]
-        w = w * tp[(p - 1) // 3 * tw % (p - 1)] % pn
+    lam = np.arange(1, p - 1)  # lambda != 0, -1
+    k, a, b = fam.t_coeffs
+    u = ctx.dlog[k % p] + a * ctx.dlog[lam] + b * ctx.dlog[lam + 1]
+    w = w_all[-u % (p - 1)]
 
     bound = math.isqrt(4 * p)
     signed = np.where(w <= bound, w, w - pn)
@@ -484,8 +461,7 @@ def family_sweep(ctx: PrimeContext, family: str) -> np.ndarray:
             "sweep produced a residue outside the integrality bound"
         )
     out = np.zeros(p, dtype=np.int64)
-    out[valid] = signed
-    out *= ctx.legendre[lam1]
+    out[1 : p - 1] = signed * ctx.legendre[fam.sign * (lam + 1) % p]
     return _cache_sweep(ctx, family, out)
 
 

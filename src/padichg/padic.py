@@ -188,7 +188,6 @@ class GammaTable:
     """Evaluates Morita's Gamma_p mod p^n, O(1) per call, for 1 <= n <= 3."""
 
     __slots__ = (
-        "ctx",
         "p",
         "n",
         "modulus",
@@ -203,7 +202,6 @@ class GammaTable:
     def __init__(self, ctx: PrimeContext, n: int = 2):
         if not isinstance(n, int) or not 1 <= n <= 3:
             raise BadPrecisionError(f"precision n = {n} must be 1, 2 or 3")
-        self.ctx = ctx
         self.p = ctx.p
         self.n = n
         self.modulus = ctx.p**n

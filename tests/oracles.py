@@ -130,6 +130,50 @@ def hypergeometric_sum(
     return total * pref % pn * pow(denom, -1, pn) % pn
 
 
+def _power_character(p: int, n: int, x: int, order: int) -> int:
+    """omega(x)^((p-1)/order) mod p^n; order must divide p - 1."""
+    return pow(teichmuller_limit(p, x, n), (p - 1) // order, p**n)
+
+
+def legendre_2g2_literal(p: int, n: int, lam: int) -> int:
+    """The 2G2 wrapper mod p^n as the paper writes it, for p = 1 (mod 6):
+
+        p psi6(2) psi3(4 (1+lam)^2 / lam) phi(1+lam)
+          * 2G2[2/3, 2/3; 5/12, 11/12 | 4 lam / (1+lam)^2],
+
+    with psi_k = omega^((p-1)/k), and 0 at lam = 0, -1.
+    """
+    lam %= p
+    if lam in (0, p - 1):
+        return 0
+    upper = (Fraction(2, 3), Fraction(2, 3))
+    lower = (Fraction(5, 12), Fraction(11, 12))
+    t = 4 * lam * pow(1 + lam, -2, p) % p
+    inner = hypergeometric_sum(p, n, upper, lower, t, p_shift=1)
+    psi6_2 = _power_character(p, n, 2, 6)
+    psi3 = _power_character(p, n, 4 * (1 + lam) ** 2 * pow(lam, -1, p), 3)
+    return legendre_euler(p, 1 + lam) * psi6_2 * psi3 * inner % p**n
+
+
+def legendre_6g6_literal(p: int, n: int, lam: int) -> int:
+    """The 6G6 wrapper mod p^n as the paper writes it, for any p >= 5:
+
+        phi(1+lam) * 6G6[1/3, 1/3, 2/3, 2/3, 0, 0;
+                         1/12, 1/4, 5/12, 7/12, 3/4, 11/12
+                         | 2^6 lam^3 / (1+lam)^6],
+
+    and 0 at lam = 0, -1.
+    """
+    lam %= p
+    if lam in (0, p - 1):
+        return 0
+    upper = tuple(Fraction(a, 3) for a in (1, 1, 2, 2, 0, 0))
+    lower = tuple(Fraction(b, 12) for b in (1, 3, 5, 7, 9, 11))
+    t = 64 * lam**3 * pow(1 + lam, -6, p) % p
+    inner = hypergeometric_sum(p, n, upper, lower, t)
+    return legendre_euler(p, 1 + lam) * inner % p**n
+
+
 def eta_product_naive(spec: list[tuple[int, int]], n_max: int) -> list[int]:
     """q-coefficients of prod eta(scale*tau)^exponent by schoolbook expansion.
 

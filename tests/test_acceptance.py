@@ -11,7 +11,7 @@ import numpy as np
 
 from padichg import (
     distribution_report,
-    eval_g6,
+    eval_family,
     eval_gn,
     family_sweep,
     moment_sum,
@@ -83,7 +83,7 @@ def test_criterion_3_special_values(criterion_report):
                 fails.append(f"2G2(1) at p={p}")
             if int(g[p - 1]) != 0:
                 fails.append(f"2G2(-1) at p={p}")
-            if eval_g6(ctx, cached_table(p, 2), p - 1).residue.value != 0:
+            if eval_family(ctx, cached_table(p, 2), "6g6", p - 1).residue.value != 0:
                 fails.append(f"6G6(-1) at p={p}")
         else:
             if int(family_sweep(ctx, "6g6")[p - 1]) != 0:

@@ -1,6 +1,8 @@
 """Hypergeometric evaluators: definition sums, wrappers, lifts, sweeps."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -14,10 +16,6 @@ from padichg import (
     ResidueMod,
     WrongResidueClassError,
     eval_family,
-    eval_g2,
-    eval_g2_tilde,
-    eval_g6,
-    eval_g6_tilde,
     eval_gn,
     family_sweep,
     lift_signed,
@@ -37,6 +35,8 @@ from padichg.hypergeo import (
 from oracles import (
     ap_point_count,
     hypergeometric_sum,
+    legendre_2g2_literal,
+    legendre_6g6_literal,
     legendre_euler,
     small_primes,
 )
@@ -95,31 +95,31 @@ class TestDefinitionSum:
 class TestLegendreWrappers:
     def test_g2_pinned_values(self, ctx_of, table_of):
         ctx, tab = ctx_of(7), table_of(7)
-        assert eval_g2(ctx, tab, 3).lift() == -4
-        assert eval_g2(ctx, tab, 1).lift() == -1  # phi(-2) at p = 7
-        assert eval_g2(ctx, tab, 6).lift() == 0
-        assert eval_g2(ctx, tab, 0).lift() == 0
-        assert eval_g2(ctx, tab, -1).lift() == 0
-        assert eval_g2(ctx, tab, 3).claimed_bound == 5
+        assert eval_family(ctx, tab, "2g2", 3).lift() == -4
+        assert eval_family(ctx, tab, "2g2", 1).lift() == -1  # phi(-2) at p = 7
+        assert eval_family(ctx, tab, "2g2", 6).lift() == 0
+        assert eval_family(ctx, tab, "2g2", 0).lift() == 0
+        assert eval_family(ctx, tab, "2g2", -1).lift() == 0
+        assert eval_family(ctx, tab, "2g2", 3).claimed_bound == 5
 
     def test_g2_equals_twisted_frobenius_trace(self, ctx_of, table_of):
         for p in (7, 13, 19):
             ctx, tab = ctx_of(p), table_of(p)
             s = legendre_euler(p, -2)
-            assert eval_g2(ctx, tab, 1).lift() == s
+            assert eval_family(ctx, tab, "2g2", 1).lift() == s
             for lam in range(2, p - 1):
                 want = s * ap_point_count(p, lam)
-                assert eval_g2(ctx, tab, lam).lift() == want, (p, lam)
+                assert eval_family(ctx, tab, "2g2", lam).lift() == want, (p, lam)
 
     def test_g2_wrong_residue_class(self, ctx_of, table_of):
         with pytest.raises(WrongResidueClassError):
-            eval_g2(ctx_of(11), table_of(11), 3)
+            eval_family(ctx_of(11), table_of(11), "2g2", 3)
 
     def test_g6_pinned_values(self, ctx_of, table_of):
         ctx, tab = ctx_of(5), table_of(5)
-        assert eval_g6(ctx, tab, 2).lift() == -2  # phi(-1) = +1, a_5(2) = -2
-        assert eval_g6(ctx, tab, 4).lift() == 0
-        v11 = eval_g6(ctx_of(11), table_of(11), 3)
+        assert eval_family(ctx, tab, "6g6", 2).lift() == -2  # phi(-1) = +1, a_5(2) = -2
+        assert eval_family(ctx, tab, "6g6", 4).lift() == 0
+        v11 = eval_family(ctx_of(11), table_of(11), "6g6", 3)
         assert v11.lift() == -ap_point_count(11, 3)  # phi(-1) = -1 at p = 11
         assert v11.claimed_bound == 6
 
@@ -129,12 +129,12 @@ class TestLegendreWrappers:
             s = legendre_euler(p, -1)
             for lam in range(2, p - 1):
                 want = s * ap_point_count(p, lam)
-                assert eval_g6(ctx, tab, lam).lift() == want, (p, lam)
+                assert eval_family(ctx, tab, "6g6", lam).lift() == want, (p, lam)
 
     def test_g6_outside_theorem_class(self, ctx_of, table_of):
         # p = 1 (mod 3): the residue is defined but carries no bound
         ctx, tab = ctx_of(13), table_of(13)
-        v = eval_g6(ctx, tab, 3)
+        v = eval_family(ctx, tab, "6g6", 3)
         assert v.claimed_bound is None
         with pytest.raises(NoRepresentativeError):
             v.lift()
@@ -143,27 +143,43 @@ class TestLegendreWrappers:
         if legendre_euler(13, 4) < 0:
             want = (13**3 - want) % 13**3
         assert v.residue.value == want
-        assert eval_g6(ctx, tab, 12).residue.value == 0
+        assert eval_family(ctx, tab, "6g6", 12).residue.value == 0
+
+
+    @pytest.mark.parametrize(
+        "fam, p",
+        [("2g2", 7), ("2g2", 13), ("2g2", 19), ("6g6", 5), ("6g6", 11), ("6g6", 13)],
+    )
+    def test_residue_matches_literal_wrapper(self, ctx_of, table_of, fam, p):
+        # the paper's psi6(2) psi3(4(1+lam)^2/lam) form, residue by residue;
+        # p = 13 is outside the 6G6 class, where no bound pins the value
+        literal = legendre_2g2_literal if fam == "2g2" else legendre_6g6_literal
+        ctx, tab = ctx_of(p), table_of(p)
+        for lam in range(p):
+            got = eval_family(ctx, tab, fam, lam).residue
+            assert (got.value, got.modulus) == (literal(p, 3, lam), p**3), lam
 
 
 class TestTildeVariants:
     def test_regularized_at_minus_one(self, ctx_of, table_of):
-        assert eval_g6_tilde(ctx_of(5), table_of(5), 4).lift() == -2
-        assert eval_g2_tilde(ctx_of(7), table_of(7), 6).lift() == 0
+        assert eval_family(ctx_of(5), table_of(5), "6g6t", 4).lift() == -2
+        assert eval_family(ctx_of(7), table_of(7), "2g2t", 6).lift() == 0
         for p in (13, 17, 29, 37):
             ctx, tab = ctx_of(p), table_of(p)
-            fn = eval_g2_tilde if p % 3 == 1 else eval_g6_tilde
-            assert fn(ctx, tab, p - 1).lift() == ap_point_count(p, p - 1)
+            fam = "2g2t" if p % 3 == 1 else "6g6t"
+            assert eval_family(ctx, tab, fam, p - 1).lift() == ap_point_count(p, p - 1)
 
     def test_plain_away_from_minus_one(self, ctx_of, table_of):
         ctx, tab = ctx_of(13), table_of(13)
-        assert eval_g2_tilde(ctx, tab, 5).lift() == eval_g2(ctx, tab, 5).lift()
+        tilde = eval_family(ctx, tab, "2g2t", 5)
+        assert tilde.lift() == eval_family(ctx, tab, "2g2", 5).lift()
         ctx, tab = ctx_of(11), table_of(11)
-        assert eval_g6_tilde(ctx, tab, 3).lift() == eval_g6(ctx, tab, 3).lift()
+        tilde = eval_family(ctx, tab, "6g6t", 3)
+        assert tilde.lift() == eval_family(ctx, tab, "6g6", 3).lift()
 
     def test_tilde_wrong_class_at_minus_one(self, ctx_of, table_of):
         with pytest.raises(WrongResidueClassError):
-            eval_g2_tilde(ctx_of(11), table_of(11), 10)
+            eval_family(ctx_of(11), table_of(11), "2g2t", 10)
 
 
 def test_eval_family_dispatch(ctx_of, table_of):
@@ -210,6 +226,19 @@ class TestFamilySweep:
         p = small_primes(MAX_SWEEP_PRIME + 1, MAX_SWEEP_PRIME + 200)[0]
         with pytest.raises(ValueError):
             family_sweep(ctx_of(p), "2g2")  # limit precedes the class gate
+
+
+def test_context_freed_by_refcount():
+    # no reference cycle holds a context, its tables or its cached sweeps
+    gc.disable()
+    try:
+        ctx = make_prime_ctx(1009)
+        family_sweep(ctx, "2g2")
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 class TestExactTransforms:
