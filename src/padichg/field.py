@@ -10,9 +10,9 @@ modulo p - 1.
 
 from __future__ import annotations
 
-import numpy as np
-
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     BadPrecisionError,
@@ -100,6 +100,35 @@ def exact_rint(c: np.ndarray) -> np.ndarray:
     return r.astype(np.int64)
 
 
+def residue_dtype(modulus: int):
+    """numpy dtype for arrays of residues mod modulus.
+
+    int64 while a product of two residues fits (modulus^2 < 2^63), so that
+    a * b % modulus is exact; Python ints (object) otherwise.
+    """
+    return np.int64 if modulus * modulus < 2**63 else object
+
+
+def cumprod_mod(x, modulus: int) -> np.ndarray:
+    """Prefix products x[0] * ... * x[i] mod modulus, exactly.
+
+    One pass in Python ints (faster than itertools.accumulate with a
+    reducing lambda); the result has dtype residue_dtype(modulus).
+    """
+    out, acc = [], 1
+    for v in np.asarray(x).tolist():
+        acc = acc * v % modulus
+        out.append(acc)
+    return np.array(out, dtype=residue_dtype(modulus))
+
+
+def powers_mod(x: int, k: int, modulus: int) -> np.ndarray:
+    """x^0, x^1, ..., x^(k-1) mod modulus: cumprod_mod of [1, x, x, ...]."""
+    f = np.full(k, x % modulus, dtype=residue_dtype(modulus))
+    f[0] = 1
+    return cumprod_mod(f, modulus)
+
+
 @dataclass(frozen=True)
 class CyclotomicInt4:
     """An element re + im*i of Z[i], kept exact (never floated)."""
@@ -124,6 +153,9 @@ class PrimeContext:
         pow_g: pow_g[k] = g**k mod p for 0 <= k < p - 1.
         dlog: dlog[x] = k with g**k = x mod p; dlog[0] = -1 as a sentinel.
         legendre: legendre[x] in {-1, 0, 1}, the quadratic character.
+        sweeps: cache of hypergeo.family_sweep, by family name.
+        coefficients: cache of hypergeo._coefficients, by
+            (upper, lower, p_shift, n).
     """
 
     def __init__(self, p: int, precision: int = 3):
@@ -138,11 +170,7 @@ class PrimeContext:
         self.p = p
         self.precision = precision
         self.g = _primitive_root(p)
-        pow_g = np.empty(p - 1, dtype=np.int64)
-        acc = 1
-        for k in range(p - 1):
-            pow_g[k] = acc
-            acc = acc * self.g % p
+        pow_g = powers_mod(self.g, p - 1, p)
         dlog = np.empty(p, dtype=np.int64)
         dlog[0] = -1
         dlog[pow_g] = np.arange(p - 1, dtype=np.int64)
@@ -151,9 +179,8 @@ class PrimeContext:
         self.pow_g = pow_g
         self.dlog = dlog
         self.legendre = legendre
-        # per-context caches filled lazily by other modules
-        self._teich_unit_cache: dict = {}
-        self._coeff_cache: dict = {}
+        self.sweeps: dict = {}
+        self.coefficients: dict = {}
 
     def __repr__(self) -> str:
         return f"PrimeContext(p={self.p})"

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import BadWeightError, NonIntegralLeadingPowerError
 from .field import PrimeContext
-from .hypergeo import family_sweep
+from .hypergeo import family_sweep, integral_family
 from .stats import value_counts
 
 
@@ -65,9 +65,9 @@ def pk_sum(values: np.ndarray, k: int, p: int) -> int:
 
 
 def tilde_sweep(ctx: PrimeContext) -> np.ndarray:
-    """The regularized sweep the trace formulas consume, picked by p mod 3."""
-    family = "2g2t" if ctx.p % 3 == 1 else "6g6t"
-    return family_sweep(ctx, family)
+    """The regularized sweep the trace formulas consume: the tilde variant
+    of the family that is integral at p."""
+    return family_sweep(ctx, integral_family(ctx.p) + "t")
 
 
 def trace_level4(ctx: PrimeContext, k: int) -> int:

@@ -75,7 +75,7 @@ from .errors import (
     PrecisionExhaustedError,
     WrongResidueClassError,
 )
-from .field import PrimeContext, exact_rint
+from .field import PrimeContext, exact_rint, powers_mod
 from .padic import (
     GammaTable,
     ResidueMod,
@@ -138,6 +138,10 @@ class _Family:
     sign: int  # the sign is phi(sign * (1+lambda))
     p_class: tuple[int, int]  # (m, r): integral exactly when p = r (mod m)
 
+    def integral_at(self, p: int) -> bool:
+        m, r = self.p_class
+        return p % m == r
+
 
 _FAMILIES = {
     "2g2": _Family("2G2", G2_UPPER, G2_LOWER, 1, (4, 1, -2), Fraction(1, 3), 2, (6, 1)),
@@ -193,7 +197,7 @@ def _coefficients(
     """Per-j coefficients s_j mod p^n with everything except conj(omega)^j(t)
     folded in, so that nGn(t) = sum_j s_j * omega(t)^(-j)."""
     key = (upper, lower, p_shift, table.n)
-    cached = ctx._coeff_cache.get(key)
+    cached = ctx.coefficients.get(key)
     if cached is not None:
         return cached
     p, pn = table.p, table.modulus
@@ -254,7 +258,7 @@ def _coefficients(
         v = unit * pw[es] % pn
         odd = (np.arange(lo, lo + len(j)) * nlen + e) % 2 == 1
         s += np.where(odd, (pn - v) % pn, v).tolist()
-    ctx._coeff_cache[key] = s
+    ctx.coefficients[key] = s
     return s
 
 
@@ -292,8 +296,8 @@ def _lookup(family: str) -> _Family:
 
 
 def _check_class(fam: _Family, p: int) -> None:
-    m, r = fam.p_class
-    if p % m != r:
+    if not fam.integral_at(p):
+        m, r = fam.p_class
         raise WrongResidueClassError(
             f"{fam.label} has integer values only for p = {r} (mod {m}); p = {p}"
         )
@@ -302,6 +306,11 @@ def _check_class(fam: _Family, p: int) -> None:
 def require_integral(family: str, p: int) -> None:
     """Raise WrongResidueClassError unless the family is integral at p."""
     _check_class(_lookup(family), p)
+
+
+def integral_family(p: int) -> str:
+    """The plain family with integer values at the prime p >= 5."""
+    return next(name for name, fam in _FAMILIES.items() if fam.integral_at(p))
 
 
 def eval_family(
@@ -321,8 +330,7 @@ def eval_family(
     lam %= p
     if lam == p - 1 and family.endswith("t"):
         return GnValue(ResidueMod(-ctx.correction_term(), p, n), math.isqrt(4 * p))
-    m, r = fam.p_class
-    bound = math.isqrt(4 * p) if p % m == r else None
+    bound = math.isqrt(4 * p) if fam.integral_at(p) else None
     if lam == 0 or lam == p - 1:
         return GnValue(ResidueMod(0, p, n), bound)
     k, a, b = fam.t_coeffs
@@ -332,29 +340,6 @@ def eval_family(
     if ctx.legendre_symbol(fam.sign * (1 + lam)) < 0:
         val = -val
     return GnValue(ResidueMod(val, p, n), bound)
-
-
-def _sweep_table(ctx: PrimeContext) -> GammaTable:
-    hit = ctx._teich_unit_cache.get("table2")
-    if hit is None:
-        hit = GammaTable(ctx, 2)
-        ctx._teich_unit_cache["table2"] = hit
-    return hit
-
-
-def _teich_powers(ctx: PrimeContext, pn: int) -> np.ndarray:
-    """omega(g)^m mod p^2 for m = 0 .. p-2, as an int64 array."""
-    hit = ctx._teich_unit_cache.get("teichpow2")
-    if hit is None:
-        om = teichmuller(ctx.p, ctx.g, 2)
-        vals = np.empty(ctx.p - 1, dtype=np.int64)
-        acc = 1
-        for m in range(ctx.p - 1):
-            vals[m] = acc
-            acc = acc * om % pn
-        hit = vals
-        ctx._teich_unit_cache["teichpow2"] = hit
-    return hit
 
 
 # limb width for the exact correlation: with p <= MAX_SWEEP_PRIME a residue
@@ -428,7 +413,7 @@ def family_sweep(ctx: PrimeContext, family: str) -> np.ndarray:
     p = ctx.p
     if family not in SWEEP_FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    cached = ctx._teich_unit_cache.get(("sweep", family))
+    cached = ctx.sweeps.get(family)
     if cached is not None:
         return cached
     if family == "ap":
@@ -443,11 +428,11 @@ def family_sweep(ctx: PrimeContext, family: str) -> np.ndarray:
         )
     fam = _FAMILIES[family]
     _check_class(fam, p)
-    table = _sweep_table(ctx)
-    pn = table.modulus
-    s = _coefficients(ctx, table, fam.upper, fam.lower, fam.p_shift)
+    pn = p * p
+    s = _coefficients(ctx, GammaTable(ctx, 2), fam.upper, fam.lower, fam.p_shift)
     coeff = np.roll(np.asarray(s, dtype=np.int64), int(fam.rotation * (p - 1)))
-    w_all = _dft_mod(coeff, _teich_powers(ctx, pn), pn)
+    teich_pow = powers_mod(teichmuller(p, ctx.g, 2), p - 1, pn)
+    w_all = _dft_mod(coeff, teich_pow, pn)
 
     lam = np.arange(1, p - 1)  # lambda != 0, -1
     k, a, b = fam.t_coeffs
@@ -468,5 +453,5 @@ def family_sweep(ctx: PrimeContext, family: str) -> np.ndarray:
 def _cache_sweep(ctx: PrimeContext, family: str, arr: np.ndarray) -> np.ndarray:
     # cached arrays are shared between callers, so freeze them
     arr.flags.writeable = False
-    ctx._teich_unit_cache[("sweep", family)] = arr
+    ctx.sweeps[family] = arr
     return arr

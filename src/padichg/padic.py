@@ -17,6 +17,10 @@ m = qp + r, Gamma_p(m) then equals
 mod p^3, with H_j = sum_{c<=j} 1/c and E_j = sum_{c<d<=j} 1/(cd).  Since
 Gamma_p is 1-Lipschitz, the value mod p^n only depends on the argument
 mod p^n, so this covers every p-adic integer argument.
+
+The O(p) tables are numpy arrays of dtype residue_dtype(p^n), built by
+field.cumprod_mod; H only enters times p, so it is kept mod p^(n-1).
+GammaTable.vectorized() shares these arrays rather than copying them.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .errors import (
     ParameterNotPadicError,
     PrimeTooSmallError,
 )
-from .field import PrimeContext, is_prime
+from .field import PrimeContext, cumprod_mod, is_prime, powers_mod, residue_dtype
 
 
 class ResidueMod:
@@ -162,30 +166,13 @@ def teichmuller(p: int, t: int, n: int) -> int:
     return a
 
 
-def residue_dtype(modulus: int):
-    """numpy dtype for arrays of residues mod modulus.
-
-    int64 while a product of two residues fits (modulus^2 < 2^63), so that
-    a * b % modulus is exact; Python ints (object) otherwise.
-    """
-    return np.int64 if modulus * modulus < 2**63 else object
-
-
-def _batch_inverses(limit: int, modulus: int) -> list[int]:
-    """inv[c] = c^{-1} mod modulus for 1 <= c < limit, via one pow call."""
-    pref = [1] * limit
-    for c in range(1, limit):
-        pref[c] = pref[c - 1] * c % modulus
-    inv = [0] * limit
-    t = pow(pref[limit - 1], -1, modulus)
-    for c in range(limit - 1, 0, -1):
-        inv[c] = t * pref[c - 1] % modulus
-        t = t * c % modulus
-    return inv
-
-
 class GammaTable:
-    """Evaluates Morita's Gamma_p mod p^n, O(1) per call, for 1 <= n <= 3."""
+    """Evaluates Morita's Gamma_p mod p^n, O(1) per call, for 1 <= n <= 3.
+
+    Its tables, for c = 0 .. p-1 and w = (p-1)!, are arrays of dtype
+    residue_dtype(p^n): c! and w^c mod p^n, H_c mod p^(n-1) (n >= 2),
+    E_c mod p and w^(p c) mod p^n (n = 3).  vectorized() shares them.
+    """
 
     __slots__ = (
         "p",
@@ -202,46 +189,32 @@ class GammaTable:
     def __init__(self, ctx: PrimeContext, n: int = 2):
         if not isinstance(n, int) or not 1 <= n <= 3:
             raise BadPrecisionError(f"precision n = {n} must be 1, 2 or 3")
-        self.p = ctx.p
+        p = self.p = ctx.p
         self.n = n
-        self.modulus = ctx.p**n
+        pn = self.modulus = p**n
         self._frac_cache: dict = {}
-        self._build_fast_tables()
-
-    def _build_fast_tables(self) -> None:
-        p, pn = self.p, self.modulus
-        fact = [1] * p
-        for c in range(1, p):
-            fact[c] = fact[c - 1] * c % pn
-        self._fact = fact
-        if self.n >= 2:
-            inv = _batch_inverses(p, pn)
-            h1 = [0] * p
-            for c in range(1, p):
-                h1[c] = (h1[c - 1] + inv[c]) % pn
-            self._h1 = h1
-        else:
-            self._h1 = None
-        if self.n >= 3:
-            e2 = [0] * p
-            for c in range(2, p):
-                e2[c] = (e2[c - 1] + inv[c] * h1[c - 1]) % p
-            self._e2 = e2
-        else:
-            self._e2 = None
-        w = fact[p - 1]
-        w_lo = [1] * p
-        for m in range(1, p):
-            w_lo[m] = w_lo[m - 1] * w % pn
-        self._w_lo = w_lo
-        if self.n >= 3:
-            wp = pow(w, p, pn)
-            w_hi = [1] * p
-            for m in range(1, p):
-                w_hi[m] = w_hi[m - 1] * wp % pn
-            self._w_hi = w_hi
-        else:
-            self._w_hi = None
+        c = np.arange(p, dtype=np.int64)
+        c[0] = 1
+        self._fact = cumprod_mod(c, pn)
+        w = int(self._fact[p - 1])
+        self._w_lo = powers_mod(w, p, pn)
+        self._h1 = self._e2 = self._w_hi = None
+        if n == 1:
+            return
+        rd = residue_dtype(pn)
+        # 1/c mod p from the context's tables (1/0 := 0); all int64 below
+        inv = np.zeros(p, dtype=np.int64)
+        inv[1:] = ctx.pow_g[-ctx.dlog[1:] % (p - 1)]
+        h_sum = np.cumsum(inv)
+        h1 = h_sum % p
+        if n == 3:
+            # E_c = sum_{d <= c} H_(d-1)/d mod p
+            self._e2 = (np.cumsum(inv * np.roll(h1, 1) % p) % p).astype(rd)
+            # one Hensel step gives digit 1 of 1/c mod p^2, so H_c mod p^2
+            hi = -inv * ((c * inv - 1) // p) % p
+            h1 = (h_sum + p * (np.cumsum(hi) % p)) % (p * p)
+            self._w_hi = powers_mod(pow(w, p, pn), p, pn)
+        self._h1 = h1.astype(rd)
 
     def gamma_residue(self, r: int) -> int:
         """Gamma_p at any p-adic integer congruent to r mod p^n."""
@@ -249,20 +222,18 @@ class GammaTable:
         r %= pn
         if r == 0:
             return 1  # Gamma_p(0) = 1
-        m = r
-        q, rem = divmod(m, p)
-        if rem == 0:
-            part = 1
-        elif self.n == 1:
-            part = self._fact[rem - 1]
-        else:
-            corr = 1 + q * p * self._h1[rem - 1]
-            if self.n >= 3:
-                corr += q * q % p * p * p * self._e2[rem - 1]
-            part = self._fact[rem - 1] * (corr % pn) % pn
-        wq = self._w_lo[q % p]
+        q, rem = divmod(r, p)
+        part = 1
+        if rem:
+            part = int(self._fact[rem - 1])
+            if self.n >= 2:
+                corr = 1 + q * p * int(self._h1[rem - 1])
+                if self.n >= 3:
+                    corr += q * q % p * p * p * int(self._e2[rem - 1])
+                part = part * (corr % pn) % pn
+        wq = int(self._w_lo[q % p])
         if q >= p:
-            wq = wq * self._w_hi[q // p] % pn
+            wq = wq * int(self._w_hi[q // p]) % pn
         val = wq * part % pn
         if (q + rem) % 2:
             val = pn - val if val else 0
@@ -272,17 +243,10 @@ class GammaTable:
         """gamma_residue lifted to arrays of residues mod p^n.
 
         The returned function maps an array of dtype residue_dtype(p^n) to
-        an array of the same dtype.  It holds numpy copies of the O(p)
-        tables, built here, which live only as long as the function.
+        an array of the same dtype.  It reads the table's own arrays.
         """
         p, pn = self.p, self.modulus
-        dtype = residue_dtype(pn)
-        fact, e2, w_lo, w_hi = (
-            None if t is None else np.array(t, dtype=dtype)
-            for t in (self._fact, self._e2, self._w_lo, self._w_hi)
-        )
-        # only h1 mod p^(n-1) matters, as h1 is always multiplied by p
-        h1 = None if self._h1 is None else np.array(self._h1, dtype=dtype) % (pn // p)
+        fact, h1, e2, w_lo, w_hi = self._fact, self._h1, self._e2, self._w_lo, self._w_hi
 
         def gamma(r: np.ndarray) -> np.ndarray:
             q, rem = r // p, r % p
@@ -333,7 +297,9 @@ class GammaTable:
 
     def entries(self) -> list[int]:
         """All p-1 canonical values Gamma_p(k/(p-1)), k = 0 .. p-2."""
-        return [self.entry(k) for k in range(self.p - 1)]
+        k = np.arange(self.p - 1).astype(residue_dtype(self.modulus))
+        inv = pow(self.p - 1, -1, self.modulus)
+        return self.vectorized()(k * inv % self.modulus).tolist()
 
 
 def build_gamma_table(ctx: PrimeContext, n: int | None = None) -> GammaTable:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .field import PrimeContext, make_prime_ctx
 from .hecke import newform_coefficients, pk_sum, trace_level4, trace_level8
-from .hypergeo import eval_family, family_sweep
+from .hypergeo import eval_family, family_sweep, integral_family
 from .padic import (
     build_gamma_table,
     gamma_shift_check,
@@ -132,7 +132,7 @@ def _identities_worker(p: int) -> _Frag:
     frag: _Frag = {}
     ap = family_sweep(ctx, "ap")
     sp_fails: list[str] = []
-    if p % 3 == 1:
+    if integral_family(p) == "2g2":
         g = family_sweep(ctx, "2g2")
         s = ctx.legendre_symbol(-2)
         fails = _twisted_trace_fails(p, "2G2", "phi(-2)", g, s, ap)
@@ -212,8 +212,8 @@ def _gamma_worker(p: int) -> _Frag:
     psq = p * p
     lip_fails = [
         f"p={p} k={k}"
-        for k in range(p - 1)
-        if t3.entry(k) % psq != t2.entry(k)
+        for k, (e3, e2) in enumerate(zip(t3.entries(), t2.entries()))
+        if e3 % psq != e2
     ]
     frag["precision-consistency"] = (1, p - 1, lip_fails)
 
@@ -306,7 +306,8 @@ def _moments_worker(p: int) -> _Frag:
     if p > 199:
         return frag
     ctx = make_prime_ctx(p)
-    fams = ("ap", "2g2", "2g2t") if p % 3 == 1 else ("ap", "6g6", "6g6t")
+    plain = integral_family(p)
+    fams = ("ap", plain, plain + "t")
     hb_fails, hb_cases = [], 0
     for fam in fams:
         sw = family_sweep(ctx, fam)
@@ -315,7 +316,7 @@ def _moments_worker(p: int) -> _Frag:
             hb_fails.append(f"p={p} family={fam} lambda={int(lam)}")
     frag["hasse-bound"] = (1, hb_cases, hb_fails)
 
-    if p % 3 == 1 and p <= 100:
+    if plain == "2g2" and p <= 100:
         g = family_sweep(ctx, "2g2")
         ap = family_sweep(ctx, "ap")
         s = ctx.legendre_symbol(-2)

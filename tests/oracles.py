@@ -69,6 +69,46 @@ def gamma_morita(p: int, n: int, x: Fraction | int) -> int:
     return v if r % 2 == 0 else (pn - v) % pn
 
 
+def gamma_tables_loop(p: int, n: int) -> dict[str, list[int] | None]:
+    """The O(p) tables of a Gamma_p evaluator mod p^n, one loop each.
+
+    fact[c] = c!, h1[c] = H_c = sum_{d<=c} 1/d (n >= 2), e2[c] =
+    sum_{d<=c} H_(d-1)/d mod p (n = 3), w_lo[m] = w^m and w_hi[m] =
+    w^(p m) (n = 3) with w = (p-1)!, all mod p^n unless stated.  The
+    inverses 1/c come from one inversion of (p-1)!, walked back down.
+    """
+    pn = p**n
+    fact = [1] * p
+    for c in range(1, p):
+        fact[c] = fact[c - 1] * c % pn
+    inv = [0] * p
+    t = pow(fact[p - 1], -1, pn)
+    for c in range(p - 1, 0, -1):
+        inv[c] = t * fact[c - 1] % pn
+        t = t * c % pn
+    h1 = [0] * p
+    for c in range(1, p):
+        h1[c] = (h1[c - 1] + inv[c]) % pn
+    e2 = [0] * p
+    for c in range(2, p):
+        e2[c] = (e2[c - 1] + inv[c] * h1[c - 1]) % p
+    w = fact[p - 1]
+    w_lo = [1] * p
+    for m in range(1, p):
+        w_lo[m] = w_lo[m - 1] * w % pn
+    wp = pow(w, p, pn)
+    w_hi = [1] * p
+    for m in range(1, p):
+        w_hi[m] = w_hi[m - 1] * wp % pn
+    return {
+        "fact": fact,
+        "h1": h1 if n >= 2 else None,
+        "e2": e2 if n >= 3 else None,
+        "w_lo": w_lo,
+        "w_hi": w_hi if n >= 3 else None,
+    }
+
+
 def teichmuller_limit(p: int, t: int, n: int) -> int:
     """omega(t) mod p^n as the stable limit of t, t^p, t^(p^2), ..."""
     pn = p**n

@@ -1,5 +1,7 @@
 """Prime contexts: primality, characters, point counts, Jacobi sums."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from padichg import (
     make_prime_ctx,
 )
 from padichg.errors import BadPrecisionError
+from padichg.field import cumprod_mod, powers_mod, residue_dtype
 
 from oracles import ap_point_count, legendre_euler, small_primes
 
@@ -118,3 +121,22 @@ def test_gauss_sum_float(ctx_of):
     assert abs(abs(ctx_of(5).gauss_sum_float(2)) ** 2 - 5) < 1e-6
     assert abs(ctx_of(7).gauss_sum_float(0) + 1) < 1e-6
     assert abs(abs(ctx_of(13).gauss_sum_float(4)) ** 2 - 13) < 1e-6
+
+
+@pytest.mark.parametrize("p", [1447, 1451])  # p^3 in int64, then in object
+def test_cumprod_mod_matches_loop(p):
+    modulus = p**3
+    rng = random.Random(p)
+    for length in (1, 2, 15, 16, 17, p - 1):
+        x = [rng.randrange(modulus) for _ in range(length)]
+        want, acc = [], 1
+        for v in x:
+            acc = acc * v % modulus
+            want.append(acc)
+        got = cumprod_mod(np.array(x, dtype=residue_dtype(modulus)), modulus)
+        assert got.dtype == residue_dtype(modulus)
+        assert got.tolist() == want
+        base = x[-1]
+        assert powers_mod(base, length, modulus).tolist() == [
+            pow(base, k, modulus) for k in range(length)
+        ]

@@ -30,6 +30,8 @@ from padichg.hypergeo import (
     MAX_SWEEP_PRIME,
     _coefficients,
     correlate_mod,
+    integral_family,
+    require_integral,
 )
 
 from oracles import (
@@ -241,6 +243,13 @@ def test_context_freed_by_refcount():
         gc.enable()
 
 
+def test_integral_family_follows_class_table():
+    for p in small_primes(5, 200):
+        fam = integral_family(p)
+        require_integral(fam, p)
+        assert fam == ("2g2" if p % 3 == 1 else "6g6")
+
+
 class TestExactTransforms:
     """The O(p log p) sweeps against scalar evaluation and point counts."""
 
@@ -303,11 +312,14 @@ class TestExactTransforms:
         for n in (2, 3):
             ctx = make_prime_ctx(p)
             want[n] = _coefficients(ctx, GammaTable(ctx, n), *rows)
-        monkeypatch.setattr("padichg.padic.residue_dtype", lambda modulus: object)
-        monkeypatch.setattr("padichg.hypergeo.residue_dtype", lambda modulus: object)
+        # the context indexes dlog by pow_g, so it is built in int64 first
+        ctx = make_prime_ctx(p)
+        for module in ("field", "padic", "hypergeo"):
+            monkeypatch.setattr(f"padichg.{module}.residue_dtype", lambda modulus: object)
         for n in (2, 3):
-            ctx = make_prime_ctx(p)
-            got = _coefficients(ctx, GammaTable(ctx, n), *rows)
+            table = GammaTable(ctx, n)
+            assert table._fact.dtype == table._h1.dtype == object
+            got = _coefficients(ctx, table, *rows)
             assert got == want[n]
             assert all(type(x) is int for x in got)
         assert [x % p**2 for x in want[3]] == want[2]

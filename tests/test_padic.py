@@ -27,7 +27,7 @@ from padichg import (
 from padichg.errors import ArgumentNotRepresentableError
 from padichg.padic import residue_dtype
 
-from oracles import gamma_morita, teichmuller_limit
+from oracles import gamma_morita, gamma_tables_loop, teichmuller_limit
 
 
 class TestResidueMod:
@@ -152,6 +152,29 @@ class TestGammaTable:
         assert ent[0] == 1
         for k in range(6):
             assert t.entry(k) == gamma_morita(7, 3, Fraction(k, 6))
+
+    @pytest.mark.parametrize("p", [7, 1447, 1451])
+    def test_entries_match_entry(self, ctx_of, p):
+        for n in (1, 2, 3):
+            t = GammaTable(ctx_of(p), n)
+            assert t.entries() == [t.entry(k) for k in range(p - 1)]
+
+    @pytest.mark.parametrize("p", [5, 7, 1447, 1451, 10007, 55103, 55109])
+    def test_tables_match_loop_recurrences(self, ctx_of, p):
+        # 1447 | 1451 and 55103 | 55109 straddle the int64 edges at n = 3, 2
+        for n in (1, 2, 3):
+            t = GammaTable(ctx_of(p), n)
+            want = gamma_tables_loop(p, n)
+            for name in ("fact", "e2", "w_lo", "w_hi"):
+                got = getattr(t, "_" + name)
+                if want[name] is None:
+                    assert got is None
+                else:
+                    assert got.dtype == residue_dtype(p**n)
+                    assert got.tolist() == want[name]
+            if n >= 2:
+                assert t._h1.dtype == residue_dtype(p**n)
+                assert t._h1.tolist() == [h % p ** (n - 1) for h in want["h1"]]
 
     def test_precision_consistency(self, ctx_of, table_of):
         t3, t2 = table_of(13), GammaTable(ctx_of(13), 2)
