@@ -100,33 +100,75 @@ def exact_rint(c: np.ndarray) -> np.ndarray:
     return r.astype(np.int64)
 
 
-def residue_dtype(modulus: int):
-    """numpy dtype for arrays of residues mod modulus.
-
-    int64 while a product of two residues fits (modulus^2 < 2^63), so that
-    a * b % modulus is exact; Python ints (object) otherwise.
-    """
-    return np.int64 if modulus * modulus < 2**63 else object
-
-
 def cumprod_mod(x, modulus: int) -> np.ndarray:
-    """Prefix products x[0] * ... * x[i] mod modulus, exactly.
+    """Prefix products x[0] * ... * x[i] mod modulus < 2^63, exactly.
 
     One pass in Python ints (faster than itertools.accumulate with a
-    reducing lambda); the result has dtype residue_dtype(modulus).
+    reducing lambda); the result is an int64 array.
     """
     out, acc = [], 1
     for v in np.asarray(x).tolist():
         acc = acc * v % modulus
         out.append(acc)
-    return np.array(out, dtype=residue_dtype(modulus))
+    return np.array(out, dtype=np.int64)
 
 
 def powers_mod(x: int, k: int, modulus: int) -> np.ndarray:
     """x^0, x^1, ..., x^(k-1) mod modulus: cumprod_mod of [1, x, x, ...]."""
-    f = np.full(k, x % modulus, dtype=residue_dtype(modulus))
+    f = np.full(k, x % modulus, dtype=np.int64)
     f[0] = 1
     return cumprod_mod(f, modulus)
+
+
+def digits(x, p: int, n: int) -> list:
+    """The n base-p digits of residues x mod p^n, lowest first."""
+    out = []
+    for _ in range(n - 1):
+        q = x // p  # numpy divides by a scalar much faster than it takes %
+        out.append(x - q * p)
+        x = q
+    out.append(x)
+    return out
+
+
+def mulmod(a, b, p: int, n: int):
+    """a * b mod p^n for residues a, b in [0, p^n): int64 arrays or ints.
+
+    While p^(2n) < 2^63 this is a * b % p^n.  Above that, a and b are
+    written in base-p digits and the product is carried digit by digit:
+    digit m collects the a_i b_(m-i) and the carry, so for n <= 3 every
+    partial stays below 3 p^2, inside int64 for p < 2^30.
+    """
+    pn = p**n
+    if pn * pn < 2**63:
+        return a * b % pn
+    da, db = digits(a, p, n), digits(b, p, n)
+    out, carry = 0, 0
+    for m in range(n):
+        c = carry + sum(da[i] * db[m - i] for i in range(m + 1))
+        carry = c // p
+        out = out + (c - carry * p) * p**m
+    return out
+
+
+def digit_dot(x: np.ndarray, y: np.ndarray, p: int) -> int:
+    """sum_j x_j y_j mod p^n, from the base-p digit rows of x and y.
+
+    x and y are (n, L) int64 arrays of digits in [0, p).  Digit i of x
+    meets digit k of y for i + k < n only, in an int64 dot over blocks of
+    at most (2^63 - 1) // (p - 1)^2 columns, so that no dot wraps (numpy
+    integer dots wrap silently); a block holds every column while
+    p < 2^21.  The dots add up in Python ints.
+    """
+    n, size = x.shape
+    block = (2**63 - 1) // (p - 1) ** 2
+    total = 0
+    for lo in range(0, size, block):
+        xb, yb = x[:, lo : lo + block], y[:, lo : lo + block]
+        for i in range(n):
+            for k in range(n - i):
+                total += int(np.dot(xb[i], yb[k])) * p ** (i + k)
+    return total % p**n
 
 
 @dataclass(frozen=True)
@@ -156,6 +198,9 @@ class PrimeContext:
         sweeps: cache of hypergeo.family_sweep, by family name.
         coefficients: cache of hypergeo._coefficients, by
             (upper, lower, p_shift, n).
+        digits: cache of the base-p digit rows that hypergeo.eval_gn
+            reads: the coefficients by the same key, and the powers of
+            omega(g) mod p^n by n.
     """
 
     def __init__(self, p: int, precision: int = 3):
@@ -181,6 +226,7 @@ class PrimeContext:
         self.legendre = legendre
         self.sweeps: dict = {}
         self.coefficients: dict = {}
+        self.digits: dict = {}
 
     def __repr__(self) -> str:
         return f"PrimeContext(p={self.p})"

@@ -46,19 +46,32 @@ p^p_shift nGn(t) = sum_j s_j omega(t)^(-j), the _FAMILIES table reads
     2G2(lambda) = phi(2(1+lambda)) * sum_j s_j omega(t)^(-(j + (p-1)/3)),
     6G6(lambda) = phi(1+lambda)    * sum_j s_j omega(t)^(-j).
 
+Every residue mod p^n is an int64, and residues multiply through
+field.mulmod, a base-p digit product once p^(2n) reaches 2^63; so
+precision 3 serves p < 2^21, and sweeps (precision 2) have no prime
+ceiling.  eval_gn is a digit dot product: with zeta = omega(g) and
+e = -dlog(t), omega(t)^(-j) = zeta^(e j), so the sum is
+
+    sum_(i+k<n) p^(i+k) * sum_j digit_i(s_j) digit_k(zeta^(e j mod p-1))
+
+mod p^n: a gather of the powers of zeta, then n(n+1)/2 int64 dot
+products of base-p digit rows (field.digit_dot).  The digit rows of s
+and of the powers of zeta are cached on the context.
+
 family_sweep evaluates a family at every lambda at once, exactly, in
 O(p log p).  With c_j the rotated coefficients and zeta = omega(g), each
 value is (up to its sign) W(v) = sum_j c_j zeta^(j v) mod p^2 at
 v = -dlog(t(lambda)).  The identity j v = C(j+v, 2) - C(j, 2) - C(v, 2),
 C(n, 2) = n(n-1)/2, makes W one linear correlation of c_j zeta^(-C(j,2))
-with zeta^(C(m,2)).  That correlation is exact: residues mod p^2 < 2^32
-split into three 11-bit limbs, the limb correlations run as float FFTs,
-each output is rounded to the nearest integer, and the limbs recombine
-mod p^2 in int64.  A rounding residual of 0.25 or more raises
-PrecisionExhaustedError, and every lifted value is checked against the
-Hasse bound.  A tilde sweep copies the cached plain sweep and patches
-the entry at lambda = -1.  The a_p sweep is one length-p cyclic
-correlation of quadratic-character sequences (field.frobenius_sweep).
+with zeta^(C(m,2)).  That correlation is exact: residues mod p^2 split
+into 11-bit limbs (three up to p = 92681, four up to p = 2^22), the
+limb correlations run as float FFTs, each output is rounded to the
+nearest integer, and the limbs recombine mod p^2 in int64.  A rounding
+residual of 0.25 or more raises PrecisionExhaustedError, and every
+lifted value is checked against the Hasse bound.  A tilde sweep copies
+the cached plain sweep and patches the entry at lambda = -1.  The a_p
+sweep is one length-p cyclic correlation of quadratic-character
+sequences (field.frobenius_sweep).
 """
 
 from __future__ import annotations
@@ -75,14 +88,8 @@ from .errors import (
     PrecisionExhaustedError,
     WrongResidueClassError,
 )
-from .field import PrimeContext, exact_rint, powers_mod
-from .padic import (
-    GammaTable,
-    ResidueMod,
-    frac_bracket,
-    residue_dtype,
-    teichmuller,
-)
+from .field import PrimeContext, digit_dot, digits, exact_rint, mulmod, powers_mod
+from .padic import GammaTable, ResidueMod, frac_bracket, teichmuller
 
 G2_UPPER = (Fraction(2, 3), Fraction(2, 3))
 G2_LOWER = (Fraction(5, 12), Fraction(11, 12))
@@ -102,9 +109,6 @@ G6_LOWER = (
     Fraction(3, 4),
     Fraction(11, 12),
 )
-
-# int64 sweep: products of two residues mod p^2 must stay below 2^63
-MAX_SWEEP_PRIME = 55000
 
 # j-block length for the coefficient vector
 _COEFF_BLOCK = 4096
@@ -193,9 +197,10 @@ def _coefficients(
     upper: tuple[Fraction, ...],
     lower: tuple[Fraction, ...],
     p_shift: int,
-) -> list[int]:
+) -> np.ndarray:
     """Per-j coefficients s_j mod p^n with everything except conj(omega)^j(t)
-    folded in, so that nGn(t) = sum_j s_j * omega(t)^(-j)."""
+    folded in, so that nGn(t) = sum_j s_j * omega(t)^(-j): a read-only
+    int64 array, cached on the context."""
     key = (upper, lower, p_shift, table.n)
     cached = ctx.coefficients.get(key)
     if cached is not None:
@@ -225,29 +230,28 @@ def _coefficients(
          pow(f.denominator * p2, -1, pn))
         for f in bb
     ]
-    rd = residue_dtype(pn)
-    pw = np.array(pw, dtype=rd)
-
+    pw = np.array(pw, dtype=np.int64)
+    n = table.n
     gamma = table.vectorized()
 
     def gamma_at(k: np.ndarray, minv: int) -> np.ndarray:
         # Gamma_p(k / m) mod p^n for numerators k mod m
-        return gamma((k % pn).astype(rd) * minv % pn)
+        return gamma(mulmod(k % pn, minv, p, n))
 
-    s: list[int] = []
+    blocks = []
     # blocks of j keep the temporaries small next to the O(p) tables
     for lo in range(0, p2, _COEFF_BLOCK):
         j = np.arange(lo, min(lo + _COEFF_BLOCK, p2), dtype=np.int64)
         e = np.zeros(len(j), dtype=np.int64)
-        unit = np.ones(len(j), dtype=rd)
+        unit = np.ones(len(j), dtype=np.int64)
         for d, up2, m, minv in a_data:
             jd = j * d
             e += jd > up2
-            unit = unit * gamma_at((up2 - jd) % m, minv) % pn
+            unit = mulmod(unit, gamma_at((up2 - jd) % m, minv), p, n)
         for d, thr, up2, m, minv in b_data:
             jd = j * d
             e -= jd >= thr
-            unit = unit * gamma_at((up2 + jd) % m, minv) % pn
+            unit = mulmod(unit, gamma_at((up2 + jd) % m, minv), p, n)
         es = e + p_shift
         if np.any(es < 0):
             i = int(np.flatnonzero(es < 0)[0])
@@ -255,11 +259,22 @@ def _coefficients(
                 f"term j={lo + i} has p-adic valuation {int(es[i])} < 0; "
                 "a larger p_shift is required for integrality"
             )
-        v = unit * pw[es] % pn
-        odd = (np.arange(lo, lo + len(j)) * nlen + e) % 2 == 1
-        s += np.where(odd, (pn - v) % pn, v).tolist()
+        v = mulmod(unit, pw[es], p, n)
+        odd = (j * nlen + e) % 2 == 1
+        blocks.append(np.where(odd, (pn - v) % pn, v))
+    s = np.concatenate(blocks)
+    s.flags.writeable = False
     ctx.coefficients[key] = s
     return s
+
+
+def _digit_rows(ctx: PrimeContext, key, n: int, residues) -> np.ndarray:
+    """The (n, len) base-p digit rows of residues() mod p^n, cached on the
+    context under key."""
+    rows = ctx.digits.get(key)
+    if rows is None:
+        rows = ctx.digits[key] = np.stack(digits(residues(), ctx.p, n))
+    return rows
 
 
 def eval_gn(
@@ -275,18 +290,21 @@ def eval_gn(
     At t = 0 every summand vanishes (chi(0) := 0 for all characters,
     the trivial one included), so the value is 0.
     """
-    p, pn = table.p, table.modulus
+    p, n = table.p, table.n
     t %= p
     if t == 0:
-        return ResidueMod(0, p, table.n)
-    s = _coefficients(ctx, table, tuple(upper), tuple(lower), p_shift)
-    om_inv = pow(teichmuller(p, t, table.n), -1, pn)
-    acc = 0
-    w = 1
-    for sj in s:
-        acc = (acc + sj * w) % pn
-        w = w * om_inv % pn
-    return ResidueMod(acc, p, table.n)
+        return ResidueMod(0, p, n)
+    rows = (tuple(upper), tuple(lower), p_shift)
+    s = _digit_rows(ctx, (*rows, n), n, lambda: _coefficients(ctx, table, *rows))
+    zeta = _digit_rows(
+        ctx, n, n, lambda: powers_mod(teichmuller(p, ctx.g, n), p - 1, p**n)
+    )
+    # omega(t)^(-j) = zeta^(e j) with e = -dlog(t); x - x // L * L is
+    # x % L, but numpy divides by a scalar much faster than it takes %
+    e = -int(ctx.dlog[t]) % (p - 1)
+    x = e * np.arange(p - 1, dtype=np.int64)
+    x -= x // (p - 1) * (p - 1)
+    return ResidueMod(digit_dot(s, zeta.take(x, axis=1), p), p, n)
 
 
 def _lookup(family: str) -> _Family:
@@ -342,16 +360,17 @@ def eval_family(
     return GnValue(ResidueMod(val, p, n), bound)
 
 
-# limb width for the exact correlation: with p <= MAX_SWEEP_PRIME a residue
-# mod p^2 < 2^32 takes 3 limbs, and a correlation of limbs over p - 1 terms
-# stays below 3 * 2^22 * 2^16 < 2^40, far inside float64's 2^53
+# limb width for the exact correlation: a residue mod p^2 takes 3 limbs up
+# to p = 92681 and 4 up to p = 2^22 (so 4 at p = 10^6), and a correlation
+# of limbs over p - 1 terms stays below 4 * 2^22 * p < 2^44 there, inside
+# exact_rint's 2^50
 LIMB_BITS = 11
 
 
 def correlate_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     """X[v] = sum_j a[j] * b[j + v] mod modulus, for v = 0 .. len(b) - len(a).
 
-    a and b hold residues mod modulus (int64, modulus < 2^32).  Each is
+    a and b hold residues mod modulus (int64, modulus < 2^44).  Each is
     split into LIMB_BITS-bit limbs; the limb correlations run as float
     FFTs, are rounded by exact_rint (which raises PrecisionExhaustedError
     if the rounding is not certain), and are recombined mod modulus by
@@ -375,20 +394,20 @@ def correlate_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     return out
 
 
-def _dft_mod(coeff: np.ndarray, tp: np.ndarray, pn: int) -> np.ndarray:
-    """W[v] = sum_j coeff[j] * zeta^(j v) mod pn for v = 0 .. p-2.
+def _dft_mod(coeff: np.ndarray, tp: np.ndarray, p: int) -> np.ndarray:
+    """W[v] = sum_j coeff[j] * zeta^(j v) mod p^2 for v = 0 .. p-2.
 
     zeta = omega(g) and tp[m] = zeta^m.  Through
     j v = C(j+v, 2) - C(j, 2) - C(v, 2), with C(n, 2) = n(n-1)/2, W is
     zeta^(-C(v,2)) times the linear correlation of
     coeff[j] * zeta^(-C(j,2)) with zeta^(C(m,2)), m = 0 .. 2p-4.
     """
-    n = len(tp)
-    m = np.arange(2 * n - 1, dtype=np.int64)
-    chirp = m * (m - 1) // 2 % n
-    unchirp = tp[-chirp[:n] % n]
-    x = correlate_mod(coeff * unchirp % pn, tp[chirp], pn)[:n]
-    return x * unchirp % pn
+    size = len(tp)
+    m = np.arange(2 * size - 1, dtype=np.int64)
+    chirp = m * (m - 1) // 2 % size
+    unchirp = tp[-chirp[:size] % size]
+    x = correlate_mod(mulmod(coeff, unchirp, p, 2), tp[chirp], p * p)[:size]
+    return mulmod(x, unchirp, p, 2)
 
 
 def family_sweep(ctx: PrimeContext, family: str) -> np.ndarray:
@@ -422,17 +441,13 @@ def family_sweep(ctx: PrimeContext, family: str) -> np.ndarray:
         out = family_sweep(ctx, family[:-1]).copy()
         out[p - 1] = -ctx.correction_term()
         return _cache_sweep(ctx, family, out)
-    if p > MAX_SWEEP_PRIME:
-        raise ValueError(
-            f"p = {p} exceeds the int64 sweep kernel limit {MAX_SWEEP_PRIME}"
-        )
     fam = _FAMILIES[family]
     _check_class(fam, p)
     pn = p * p
     s = _coefficients(ctx, GammaTable(ctx, 2), fam.upper, fam.lower, fam.p_shift)
-    coeff = np.roll(np.asarray(s, dtype=np.int64), int(fam.rotation * (p - 1)))
+    coeff = np.roll(s, int(fam.rotation * (p - 1)))
     teich_pow = powers_mod(teichmuller(p, ctx.g, 2), p - 1, pn)
-    w_all = _dft_mod(coeff, teich_pow, pn)
+    w_all = _dft_mod(coeff, teich_pow, p)
 
     lam = np.arange(1, p - 1)  # lambda != 0, -1
     k, a, b = fam.t_coeffs

@@ -18,9 +18,13 @@ mod p^3, with H_j = sum_{c<=j} 1/c and E_j = sum_{c<d<=j} 1/(cd).  Since
 Gamma_p is 1-Lipschitz, the value mod p^n only depends on the argument
 mod p^n, so this covers every p-adic integer argument.
 
-The O(p) tables are numpy arrays of dtype residue_dtype(p^n), built by
-field.cumprod_mod; H only enters times p, so it is kept mod p^(n-1).
-GammaTable.vectorized() shares these arrays rather than copying them.
+The O(p) tables are int64 numpy arrays built by field.cumprod_mod; H
+only enters times p, so it is kept mod p^(n-1).  GammaTable.vectorized()
+shares these arrays rather than copying them, and multiplies residues
+through field.mulmod: a plain int64 product while p^(2n) < 2^63
+(p <= 1447 at n = 3, p <= 55103 at n = 2), a base-p digit product above.
+Every residue mod p^n must itself fit in int64, so precision 3 stops at
+p < 2^21; a GammaTable past that limit raises BadPrecisionError.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .errors import (
     ParameterNotPadicError,
     PrimeTooSmallError,
 )
-from .field import PrimeContext, cumprod_mod, is_prime, powers_mod, residue_dtype
+from .field import PrimeContext, cumprod_mod, is_prime, mulmod, powers_mod
 
 
 class ResidueMod:
@@ -169,9 +173,10 @@ def teichmuller(p: int, t: int, n: int) -> int:
 class GammaTable:
     """Evaluates Morita's Gamma_p mod p^n, O(1) per call, for 1 <= n <= 3.
 
-    Its tables, for c = 0 .. p-1 and w = (p-1)!, are arrays of dtype
-    residue_dtype(p^n): c! and w^c mod p^n, H_c mod p^(n-1) (n >= 2),
-    E_c mod p and w^(p c) mod p^n (n = 3).  vectorized() shares them.
+    Its tables, for c = 0 .. p-1 and w = (p-1)!, are int64 arrays: c! and
+    w^c mod p^n, H_c mod p^(n-1) (n >= 2), E_c mod p and w^(p c) mod p^n
+    (n = 3).  vectorized() shares them.  Residues mod p^n must fit in
+    int64, so n = 3 needs p < 2^21.
     """
 
     __slots__ = (
@@ -190,6 +195,11 @@ class GammaTable:
         if not isinstance(n, int) or not 1 <= n <= 3:
             raise BadPrecisionError(f"precision n = {n} must be 1, 2 or 3")
         p = self.p = ctx.p
+        if p**n >= 2**63:
+            raise BadPrecisionError(
+                f"p = {p} is too large for precision {n}: residues mod p^{n} "
+                "must fit in int64 (p < 2^21 at n = 3)"
+            )
         self.n = n
         pn = self.modulus = p**n
         self._frac_cache: dict = {}
@@ -201,7 +211,6 @@ class GammaTable:
         self._h1 = self._e2 = self._w_hi = None
         if n == 1:
             return
-        rd = residue_dtype(pn)
         # 1/c mod p from the context's tables (1/0 := 0); all int64 below
         inv = np.zeros(p, dtype=np.int64)
         inv[1:] = ctx.pow_g[-ctx.dlog[1:] % (p - 1)]
@@ -209,12 +218,12 @@ class GammaTable:
         h1 = h_sum % p
         if n == 3:
             # E_c = sum_{d <= c} H_(d-1)/d mod p
-            self._e2 = (np.cumsum(inv * np.roll(h1, 1) % p) % p).astype(rd)
+            self._e2 = np.cumsum(inv * np.roll(h1, 1) % p) % p
             # one Hensel step gives digit 1 of 1/c mod p^2, so H_c mod p^2
             hi = -inv * ((c * inv - 1) // p) % p
             h1 = (h_sum + p * (np.cumsum(hi) % p)) % (p * p)
             self._w_hi = powers_mod(pow(w, p, pn), p, pn)
-        self._h1 = h1.astype(rd)
+        self._h1 = h1
 
     def gamma_residue(self, r: int) -> int:
         """Gamma_p at any p-adic integer congruent to r mod p^n."""
@@ -242,29 +251,28 @@ class GammaTable:
     def vectorized(self) -> Callable[[np.ndarray], np.ndarray]:
         """gamma_residue lifted to arrays of residues mod p^n.
 
-        The returned function maps an array of dtype residue_dtype(p^n) to
-        an array of the same dtype.  It reads the table's own arrays.
+        The returned function maps an int64 array of residues to an int64
+        array.  It reads the table's own arrays.
         """
-        p, pn = self.p, self.modulus
+        p, n, pn = self.p, self.n, self.modulus
         fact, h1, e2, w_lo, w_hi = self._fact, self._h1, self._e2, self._w_lo, self._w_hi
 
         def gamma(r: np.ndarray) -> np.ndarray:
             q, rem = r // p, r % p
-            k = (rem - 1).astype(np.int64)  # -1 where rem = 0, masked below
-            qi = q.astype(np.int64)
+            k = rem - 1  # -1 where rem = 0, masked below
             part = fact[k]
             if h1 is not None:
                 # q p H + q^2 p^2 E mod p^n = p * (q H + p (q^2 E mod p) mod p^(n-1))
-                x = q * h1[k]
+                x = mulmod(q, h1[k], p, n - 1)
                 if e2 is not None:
-                    x += p * ((qi % p) ** 2 % p * e2[k] % p)
-                part = part * (1 + p * (x % (pn // p))) % pn
+                    x = (x + p * ((q % p) ** 2 % p * e2[k] % p)) % (pn // p)
+                part = mulmod(part, 1 + p * x, p, n)
             part = np.where(rem == 0, 1, part)
-            wq = w_lo[qi % p]
+            wq = w_lo[q % p]
             if w_hi is not None:
-                wq = wq * w_hi[qi // p] % pn
-            val = wq * part % pn
-            return np.where((qi + k) % 2 == 0, (pn - val) % pn, val)
+                wq = mulmod(wq, w_hi[q // p], p, n)
+            val = mulmod(wq, part, p, n)
+            return np.where((q + k) % 2 == 0, (pn - val) % pn, val)
 
         return gamma
 
@@ -297,9 +305,9 @@ class GammaTable:
 
     def entries(self) -> list[int]:
         """All p-1 canonical values Gamma_p(k/(p-1)), k = 0 .. p-2."""
-        k = np.arange(self.p - 1).astype(residue_dtype(self.modulus))
+        k = np.arange(self.p - 1, dtype=np.int64)
         inv = pow(self.p - 1, -1, self.modulus)
-        return self.vectorized()(k * inv % self.modulus).tolist()
+        return self.vectorized()(mulmod(k, inv, self.p, self.n)).tolist()
 
 
 def build_gamma_table(ctx: PrimeContext, n: int | None = None) -> GammaTable:

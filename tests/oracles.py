@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 
 def small_primes(lo: int, hi: int) -> list[int]:
@@ -122,6 +123,54 @@ def teichmuller_limit(p: int, t: int, n: int) -> int:
         a = b
 
 
+def hypergeometric_coefficients(
+    p: int,
+    n: int,
+    upper: tuple[Fraction, ...],
+    lower: tuple[Fraction, ...],
+    p_shift: int = 0,
+    gamma: Callable[[Fraction], int] | None = None,
+) -> list[int]:
+    """The s_j mod p^n with p^p_shift nGn(t) = sum_j s_j conj(omega)^j(t),
+    transcribed term by term in Python ints.
+
+    Term j carries (-1)^(j*len) * (-p)^e_j * a ratio of Gamma_p values,
+    with e_j = -sum of the two floor brackets, times -1/(p-1); p_shift
+    must make every e_j + p_shift nonnegative.  gamma(x) is Gamma_p(x)
+    mod p^n (default: gamma_morita, whose table has p^n entries).
+    """
+    pn = p**n
+    if gamma is None:
+        gamma = partial(gamma_morita, p, n)
+    nlen = len(upper)
+    aa = [a - math.floor(a) for a in upper]
+    bb = [-b - math.floor(-b) for b in lower]
+    denom = 1
+    for f in aa + bb:
+        denom = denom * gamma(f) % pn
+    pref = pow((1 - p) % pn, -1, pn) * pow(denom, -1, pn) % pn
+    out = []
+    for j in range(p - 1):
+        x = Fraction(j, p - 1)
+        e = 0
+        unit = pref
+        for a in aa:
+            e -= math.floor(a - x)
+            y = a - x
+            unit = unit * gamma(y - math.floor(y)) % pn
+        for b in bb:
+            e -= math.floor(b + x)
+            y = b + x
+            unit = unit * gamma(y - math.floor(y)) % pn
+        if e + p_shift < 0:
+            raise ValueError(f"term j={j} has p-exponent {e + p_shift} < 0")
+        term = unit * pow(p, e + p_shift, pn) % pn
+        if (j * nlen + e) % 2:
+            term = (pn - term) % pn
+        out.append(term)
+    return out
+
+
 def hypergeometric_sum(
     p: int,
     n: int,
@@ -130,44 +179,15 @@ def hypergeometric_sum(
     t: int,
     p_shift: int = 0,
 ) -> int:
-    """p^p_shift times the nGn sum mod p^n, transcribed term by term.
-
-    Term j carries (-1)^(j*len) * conj(omega)^j(t) * (-p)^e_j * a ratio of
-    Gamma_p values, with e_j = -sum of the two floor brackets; p_shift must
-    make every e_j + p_shift nonnegative.
-    """
+    """p^p_shift times the nGn sum mod p^n: the coefficients of
+    hypergeometric_coefficients against conj(omega)^j(t), term by term."""
     pn = p**n
     t %= p
     if t == 0:
         return 0
-    nlen = len(upper)
-    aa = [a - math.floor(a) for a in upper]
-    bb = [-b - math.floor(-b) for b in lower]
-    denom = 1
-    for f in aa + bb:
-        denom = denom * gamma_morita(p, n, f) % pn
     om_inv = pow(teichmuller_limit(p, t, n), -1, pn)
-    total = 0
-    for j in range(p - 1):
-        x = Fraction(j, p - 1)
-        e = 0
-        unit = pow(om_inv, j, pn)
-        for a in aa:
-            e -= math.floor(a - x)
-            y = a - x
-            unit = unit * gamma_morita(p, n, y - math.floor(y)) % pn
-        for b in bb:
-            e -= math.floor(b + x)
-            y = b + x
-            unit = unit * gamma_morita(p, n, y - math.floor(y)) % pn
-        if e + p_shift < 0:
-            raise ValueError(f"term j={j} has p-exponent {e + p_shift} < 0")
-        term = unit * pow(p, e + p_shift, pn) % pn
-        if (j * nlen + e) % 2:
-            term = (pn - term) % pn
-        total = (total + term) % pn
-    pref = pow((1 - p) % pn, -1, pn)
-    return total * pref % pn * pow(denom, -1, pn) % pn
+    s = hypergeometric_coefficients(p, n, upper, lower, p_shift)
+    return sum(sj * pow(om_inv, j, pn) for j, sj in enumerate(s)) % pn
 
 
 def _power_character(p: int, n: int, x: int, order: int) -> int:

@@ -15,7 +15,7 @@ from padichg import (
     make_prime_ctx,
 )
 from padichg.errors import BadPrecisionError
-from padichg.field import cumprod_mod, powers_mod, residue_dtype
+from padichg.field import cumprod_mod, digit_dot, digits, mulmod, powers_mod
 
 from oracles import ap_point_count, legendre_euler, small_primes
 
@@ -123,7 +123,7 @@ def test_gauss_sum_float(ctx_of):
     assert abs(abs(ctx_of(13).gauss_sum_float(4)) ** 2 - 13) < 1e-6
 
 
-@pytest.mark.parametrize("p", [1447, 1451])  # p^3 in int64, then in object
+@pytest.mark.parametrize("p", [1447, 1451])
 def test_cumprod_mod_matches_loop(p):
     modulus = p**3
     rng = random.Random(p)
@@ -133,10 +133,56 @@ def test_cumprod_mod_matches_loop(p):
         for v in x:
             acc = acc * v % modulus
             want.append(acc)
-        got = cumprod_mod(np.array(x, dtype=residue_dtype(modulus)), modulus)
-        assert got.dtype == residue_dtype(modulus)
+        got = cumprod_mod(np.array(x, dtype=np.int64), modulus)
+        assert got.dtype == np.int64
         assert got.tolist() == want
         base = x[-1]
         assert powers_mod(base, length, modulus).tolist() == [
             pow(base, k, modulus) for k in range(length)
         ]
+
+
+@pytest.mark.parametrize(
+    "p, n",
+    # both sides of the plain-product edge p^(2n) < 2^63 at n = 3 and 2,
+    # and the largest prime whose residues mod p^3 fit in int64
+    [(1447, 3), (1451, 3), (55103, 2), (55109, 2), (2097143, 3), (2097143, 2)],
+)
+def test_mulmod_matches_python_ints(p, n):
+    pn = p**n
+    assert (pn * pn < 2**63) == (p in (1447, 55103))
+    rng = np.random.default_rng(p + n)
+    a = rng.integers(0, pn, 3000)
+    b = rng.integers(0, pn, 3000)
+    a[:2] = b[:2] = pn - 1  # every digit p - 1: the largest partials
+    a[2], b[3] = 0, 1
+    want = [x * y % pn for x, y in zip(a.tolist(), b.tolist())]
+    got = mulmod(a, b, p, n)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+    assert mulmod(pn - 1, int(b[5]), p, n) == (pn - 1) * int(b[5]) % pn
+    assert sum(d * p**i for i, d in enumerate(digits(a, p, n))).tolist() == a.tolist()
+
+
+@pytest.mark.parametrize(
+    "p, n, size",
+    [
+        (13, 3, 12),
+        # (p-1)^3 < 2^63: one block of p - 1 columns at the n = 3 limit
+        (2097143, 3, 2097142),
+        # (p-1)^2 ~ 2^60: 8 columns a block, so 100 columns need 13 blocks
+        (1073741789, 2, 100),
+    ],
+)
+def test_digit_dot_worst_case(p, n, size):
+    x = np.full((n, size), p - 1, dtype=np.int64)  # every digit p - 1
+    assert digit_dot(x, x, p) == size * (p**n - 1) ** 2 % p**n
+    rng = np.random.default_rng(p)
+    y = rng.integers(0, p, (n, min(size, 50)))
+    z = rng.integers(0, p, y.shape)
+    want = sum(
+        sum(int(d) * p**i for i, d in enumerate(y[:, j]))
+        * sum(int(d) * p**i for i, d in enumerate(z[:, j]))
+        for j in range(y.shape[1])
+    )
+    assert digit_dot(y, z, p) == want % p**n

@@ -27,7 +27,6 @@ from padichg.hypergeo import (
     G2_UPPER,
     G6_LOWER,
     G6_UPPER,
-    MAX_SWEEP_PRIME,
     _coefficients,
     correlate_mod,
     integral_family,
@@ -36,6 +35,7 @@ from padichg.hypergeo import (
 
 from oracles import (
     ap_point_count,
+    hypergeometric_coefficients,
     hypergeometric_sum,
     legendre_2g2_literal,
     legendre_6g6_literal,
@@ -224,11 +224,6 @@ class TestFamilySweep:
         with pytest.raises(ValueError):
             family_sweep(ctx_of(7), "9g9")
 
-    def test_kernel_prime_limit(self, ctx_of):
-        p = small_primes(MAX_SWEEP_PRIME + 1, MAX_SWEEP_PRIME + 200)[0]
-        with pytest.raises(ValueError):
-            family_sweep(ctx_of(p), "2g2")  # limit precedes the class gate
-
 
 def test_context_freed_by_refcount():
     # no reference cycle holds a context, its tables or its cached sweeps
@@ -266,21 +261,28 @@ class TestExactTransforms:
         for lam in random.Random(p).sample(range(2, p), 30):
             assert int(ap[lam]) == ap_point_count(p, lam), lam
 
-    @pytest.mark.parametrize("p, fam, twist", [(54979, "2g2", -2), (54983, "6g6", -1)])
-    def test_largest_sweep_primes(self, p, fam, twist):
-        # the largest primes of each class under MAX_SWEEP_PRIME: residues
-        # mod p^2 take all 3 limbs and the int64 products peak here
-        cls = 6 if fam == "2g2" else 3
-        assert p % cls == (1 if fam == "2g2" else 2)
-        assert all(q % cls != p % cls for q in small_primes(p + 1, MAX_SWEEP_PRIME))
-        ctx = make_prime_ctx(p)
-        g = family_sweep(ctx, fam)
+    def test_sweep_identity_past_plain_products(self, ctx_of):
+        # p^4 > 2^63: the sweep multiplies residues mod p^2 through base-p
+        # digits, and each residue takes 4 limbs in the correlation
+        p = 100003
+        assert p % 6 == 1 and p**4 > 2**63 and (p * p - 1).bit_length() > 33
+        ctx = ctx_of(p)
+        g = family_sweep(ctx, "2g2")
         ap = family_sweep(ctx, "ap")
-        s = ctx.legendre_symbol(twist)
+        s = ctx.legendre_symbol(-2)
         assert np.array_equal(g[2 : p - 1], s * ap[2 : p - 1])
         for lam in random.Random(p).sample(range(2, p - 1), 20):
             a = ctx.trace_frobenius(lam)
             assert (int(ap[lam]), int(g[lam])) == (a, s * a), lam
+
+    @pytest.mark.parametrize("p", [1451, 29581, 100003])
+    def test_eval_precision_three_matches_sweep(self, ctx_of, table_of, p):
+        # scalar digit dot products mod p^3 against the mod p^2 sweep
+        ctx, tab = ctx_of(p), table_of(p, 3)
+        fam = integral_family(p)
+        sweep = family_sweep(ctx, fam)
+        for lam in random.Random(p).sample(range(p), 20):
+            assert eval_family(ctx, tab, fam, lam).lift() == int(sweep[lam]), lam
 
     def test_correlate_mod_matches_direct_sum(self):
         rng = np.random.default_rng(5)
@@ -306,34 +308,32 @@ class TestExactTransforms:
             exact_rint(np.array([1.0, 5.25]))
 
     @pytest.mark.parametrize("p", [7, 11, 13, 101, 103])
-    def test_coefficients_object_dtype(self, monkeypatch, p):
+    def test_coefficients_object_dtype(self, p):
+        # the int64 coefficients against the Python-int transcription; it
+        # reads the literal factorial oracle while that p^n-entry table is
+        # small, and the scalar Python-int gamma_fraction above that
         rows = (G2_UPPER, G2_LOWER, 1) if p % 3 == 1 else (G6_UPPER, G6_LOWER, 0)
-        want = {}
-        for n in (2, 3):
-            ctx = make_prime_ctx(p)
-            want[n] = _coefficients(ctx, GammaTable(ctx, n), *rows)
-        # the context indexes dlog by pow_g, so it is built in int64 first
         ctx = make_prime_ctx(p)
-        for module in ("field", "padic", "hypergeo"):
-            monkeypatch.setattr(f"padichg.{module}.residue_dtype", lambda modulus: object)
+        got = {}
         for n in (2, 3):
             table = GammaTable(ctx, n)
-            assert table._fact.dtype == table._h1.dtype == object
-            got = _coefficients(ctx, table, *rows)
-            assert got == want[n]
-            assert all(type(x) is int for x in got)
-        assert [x % p**2 for x in want[3]] == want[2]
+            gamma = None if p**n <= 13**3 else table.gamma_fraction
+            got[n] = _coefficients(ctx, table, *rows)
+            assert got[n].dtype == np.int64
+            assert got[n].tolist() == hypergeometric_coefficients(p, n, *rows, gamma)
+        assert (got[3] % p**2).tolist() == got[2].tolist()
 
     @pytest.mark.parametrize("p", [1451, 1453])
     def test_coefficients_wide_products(self, ctx_of, p):
-        # p^6 > 2^63: the n = 3 residues are Python ints (object dtype)
+        # p^6 > 2^63: the n = 3 residue products take base-p digits
         assert p**6 >= 2**63
         rows = (G2_UPPER, G2_LOWER, 1) if p % 3 == 1 else (G6_UPPER, G6_LOWER, 0)
         ctx = ctx_of(p)
-        c2 = _coefficients(ctx, GammaTable(ctx, 2), *rows)
-        c3 = _coefficients(ctx, GammaTable(ctx, 3), *rows)
-        assert [x % p**2 for x in c3] == c2
         tab = GammaTable(ctx, 3)
+        c2 = _coefficients(ctx, GammaTable(ctx, 2), *rows)
+        c3 = _coefficients(ctx, tab, *rows)
+        assert c3.tolist() == hypergeometric_coefficients(p, 3, *rows, tab.gamma_fraction)
+        assert (c3 % p**2).tolist() == c2.tolist()
         r = np.array(random.Random(p).sample(range(p**3), 200), dtype=np.int64)
         assert tab.vectorized()(r).tolist() == [tab.gamma_residue(x) for x in r.tolist()]
 

@@ -1,8 +1,8 @@
 """Truncated residues, Teichmuller lifts, and the p-adic gamma table."""
 
-import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +25,6 @@ from padichg import (
     teichmuller,
 )
 from padichg.errors import ArgumentNotRepresentableError
-from padichg.padic import residue_dtype
 
 from oracles import gamma_morita, gamma_tables_loop, teichmuller_limit
 
@@ -170,10 +169,10 @@ class TestGammaTable:
                 if want[name] is None:
                     assert got is None
                 else:
-                    assert got.dtype == residue_dtype(p**n)
+                    assert got.dtype == np.int64
                     assert got.tolist() == want[name]
             if n >= 2:
-                assert t._h1.dtype == residue_dtype(p**n)
+                assert t._h1.dtype == np.int64
                 assert t._h1.tolist() == [h % p ** (n - 1) for h in want["h1"]]
 
     def test_precision_consistency(self, ctx_of, table_of):
@@ -218,13 +217,28 @@ def test_shift_identity(table_of):
         gamma_shift_check(table_of(7), 7, 1)
 
 
-def test_residue_dtype_boundary():
-    # int64 exactly while a product of two residues fits in 63 bits
-    top = math.isqrt(2**63 - 1)
-    assert residue_dtype(top) is np.int64
-    assert residue_dtype(top + 1) is object
-    assert residue_dtype(1447**3) is np.int64
-    assert residue_dtype(1451**3) is object
+def test_residue_dtype_boundary(ctx_of):
+    # the tables stay int64 on both sides of the plain-product edge
+    # p^(2n) < 2^63, where vectorized() switches to base-p digit products;
+    # the scalar gamma_residue, in Python ints, is the reference
+    for p, n in ((1447, 3), (1451, 3), (55103, 2), (55109, 2)):
+        pn = p**n
+        tab = GammaTable(ctx_of(p), n)
+        assert tab._fact.dtype == tab._h1.dtype == tab._w_lo.dtype == np.int64
+        rng = random.Random(p)
+        r = [pn - 1 - rng.randrange(p**2) for _ in range(100)]
+        r += [rng.randrange(pn) for _ in range(200)]
+        got = tab.vectorized()(np.array(r, dtype=np.int64))
+        assert got.tolist() == [tab.gamma_residue(a) for a in r]
+
+
+def test_precision_three_prime_limit():
+    # residues mod p^3 must fit in int64: p < 2^21.  The check comes
+    # before any table is read, so a bare namespace stands in for the
+    # context of the first prime past the limit
+    assert 2097143**3 < 2**63 <= 2097169**3
+    with pytest.raises(BadPrecisionError):
+        GammaTable(SimpleNamespace(p=2097169), 3)
 
 
 def test_vectorized_gamma_at_int64_edge(ctx_of):
