@@ -196,11 +196,10 @@ class PrimeContext:
         dlog: dlog[x] = k with g**k = x mod p; dlog[0] = -1 as a sentinel.
         legendre: legendre[x] in {-1, 0, 1}, the quadratic character.
         sweeps: cache of hypergeo.family_sweep, by family name.
-        coefficients: cache of hypergeo._coefficients, by
-            (upper, lower, p_shift, n).
         digits: cache of the base-p digit rows that hypergeo.eval_gn
-            reads: the coefficients by the same key, and the powers of
-            omega(g) mod p^n by n.
+            reads: the coefficients of hypergeo._coefficients by
+            (upper, lower, p_shift, n), and the powers of omega(g) mod
+            p^n by n.  The coefficient array itself is not kept.
     """
 
     def __init__(self, p: int, precision: int = 3):
@@ -225,7 +224,6 @@ class PrimeContext:
         self.dlog = dlog
         self.legendre = legendre
         self.sweeps: dict = {}
-        self.coefficients: dict = {}
         self.digits: dict = {}
 
     def __repr__(self) -> str:

@@ -192,7 +192,6 @@ def _validate_rows(upper, lower, p: int) -> None:
 
 
 def _coefficients(
-    ctx: PrimeContext,
     table: GammaTable,
     upper: tuple[Fraction, ...],
     lower: tuple[Fraction, ...],
@@ -200,11 +199,8 @@ def _coefficients(
 ) -> np.ndarray:
     """Per-j coefficients s_j mod p^n with everything except conj(omega)^j(t)
     folded in, so that nGn(t) = sum_j s_j * omega(t)^(-j): a read-only
-    int64 array, cached on the context."""
-    key = (upper, lower, p_shift, table.n)
-    cached = ctx.coefficients.get(key)
-    if cached is not None:
-        return cached
+    int64 array.  It is not cached: eval_gn keeps its digit rows and
+    family_sweep its result."""
     p, pn = table.p, table.modulus
     _validate_rows(upper, lower, p)
     nlen = len(upper)
@@ -264,7 +260,6 @@ def _coefficients(
         blocks.append(np.where(odd, (pn - v) % pn, v))
     s = np.concatenate(blocks)
     s.flags.writeable = False
-    ctx.coefficients[key] = s
     return s
 
 
@@ -295,7 +290,7 @@ def eval_gn(
     if t == 0:
         return ResidueMod(0, p, n)
     rows = (tuple(upper), tuple(lower), p_shift)
-    s = _digit_rows(ctx, (*rows, n), n, lambda: _coefficients(ctx, table, *rows))
+    s = _digit_rows(ctx, (*rows, n), n, lambda: _coefficients(table, *rows))
     zeta = _digit_rows(
         ctx, n, n, lambda: powers_mod(teichmuller(p, ctx.g, n), p - 1, p**n)
     )
@@ -444,7 +439,7 @@ def family_sweep(ctx: PrimeContext, family: str) -> np.ndarray:
     fam = _FAMILIES[family]
     _check_class(fam, p)
     pn = p * p
-    s = _coefficients(ctx, GammaTable(ctx, 2), fam.upper, fam.lower, fam.p_shift)
+    s = _coefficients(GammaTable(ctx, 2), fam.upper, fam.lower, fam.p_shift)
     coeff = np.roll(s, int(fam.rotation * (p - 1)))
     teich_pow = powers_mod(teichmuller(p, ctx.g, 2), p - 1, pn)
     w_all = _dft_mod(coeff, teich_pow, p)

@@ -334,68 +334,97 @@ def gamma_p_integer(table: GammaTable, m: int) -> ResidueMod:
     return ResidueMod(table.gamma_residue(m % table.modulus), table.p, table.n)
 
 
-def reflection_check(table: GammaTable, x: Fraction | int) -> bool:
-    """Gamma_p(x) * Gamma_p(1 - x) == (-1)^(digit of x in {1..p})."""
-    pn = table.modulus
-    r = table.fraction_residue(x) if isinstance(x, Fraction) else x % pn
-    x0 = r % table.p
-    if x0 == 0:
-        x0 = table.p
-    lhs = table.gamma_residue(r) * table.gamma_residue((1 - r) % pn) % pn
-    rhs = (-1) ** x0 % pn
-    return lhs == rhs
+def _args(x) -> tuple[np.ndarray, bool]:
+    """x as a 1-d int64 array, and whether it was a scalar."""
+    return np.atleast_1d(np.asarray(x, dtype=np.int64)), np.ndim(x) == 0
 
 
-def product_formula_check(table: GammaTable, m: int, r: int) -> bool:
+def _gamma_product(table: GammaTable, nums, den: int) -> np.ndarray:
+    """prod_i Gamma_p(nums[i] / den) mod p^n, entrywise, for int64 arrays
+    nums[i] and den prime to p."""
+    p, n, pn = table.p, table.n, table.modulus
+    gamma = table.vectorized()
+    inv = pow(den, -1, pn)
+    out = 1
+    for num in nums:
+        out = mulmod(out, gamma(mulmod(num % pn, inv, p, n)), p, n)
+    return out
+
+
+def _gamma_unit_fractions(table: GammaTable, m: int) -> int:
+    """prod_{h=1}^{m-1} Gamma_p(h/m) mod p^n, in Python ints."""
+    out = 1
+    for h in range(1, m):
+        out = out * table.gamma_fraction(Fraction(h, m)) % table.modulus
+    return out
+
+
+def reflection_check(table: GammaTable, x):
+    """Gamma_p(x) * Gamma_p(1 - x) == (-1)^(digit of x in {1..p}).
+
+    x is a rational p-adic integer, an int, or an int64 array of residues
+    mod p^n; an array gives a bool array, one entry per residue.
+    """
+    p, pn = table.p, table.modulus
+    r, scalar = _args(
+        table.fraction_residue(x) if isinstance(x, Fraction) else x % pn
+    )
+    lhs = _gamma_product(table, (r, 1 - r), 1)
+    # the digit of r in {1..p} is odd where r mod p is odd or 0 (digit p)
+    x0 = r % p
+    ok = lhs == np.where((x0 % 2 == 1) | (x0 == 0), pn - 1, 1)
+    return bool(ok[0]) if scalar else ok
+
+
+def product_formula_check(table: GammaTable, m: int, r):
     """Gauss multiplication formula for Gamma_p at x = r/(p-1).
 
     prod_{h=0}^{m-1} Gamma_p((x+h)/m)
         == omega(m)^r * Gamma_p(x) * prod_{h=1}^{m-1} Gamma_p(h/m),
-    where the character exponent r is (1-x)(1-p) reduced mod p-1.
+    where the character exponent r is (1-x)(1-p) reduced mod p-1.  r is
+    an int or an int64 array; an array gives a bool array.
     """
-    p, pn = table.p, table.modulus
+    p, n, pn = table.p, table.n, table.modulus
     if m % p == 0:
         raise ArgumentNotRepresentableError(
             "multiplier m must be prime to p"
         )
-    x = Fraction(r, p - 1)
-    lhs = 1
-    for h in range(m):
-        lhs = lhs * table.gamma_fraction((x + h) / m) % pn
-    rhs = pow(teichmuller(p, m, table.n), r % (p - 1), pn)
-    rhs = rhs * table.gamma_fraction(x) % pn
-    for h in range(1, m):
-        rhs = rhs * table.gamma_fraction(Fraction(h, m)) % pn
-    return lhs == rhs
+    r, scalar = _args(r)
+    # (x + h)/m = (r + h(p-1)) / (m(p-1))
+    lhs = _gamma_product(table, (r + h * (p - 1) for h in range(m)), m * (p - 1))
+    rhs = powers_mod(teichmuller(p, m, n), p - 1, pn)[r % (p - 1)]
+    rhs = mulmod(rhs, _gamma_unit_fractions(table, m), p, n)
+    ok = lhs == mulmod(rhs, _gamma_product(table, (r,), p - 1), p, n)
+    return bool(ok[0]) if scalar else ok
 
 
-def gamma_shift_check(table: GammaTable, t: int, j: int) -> bool:
+def gamma_shift_check(table: GammaTable, t: int, j):
     """Both Gamma_p shift-product identities at x = j/(p-1).
 
     For p = 1 (mod t) and either sign s in {+1, -1}:
 
         omega(t)^(s*t*j) * Gamma_p(<s*t*x>) * prod_{h=1}^{t-1} Gamma_p(h/t)
             == prod_{h=0}^{t-1} Gamma_p(<h/t + s*x>).
+
+    j is an int or an int64 array; an array gives a bool array.
+    Gamma_p is not periodic mod 1, so each <N/D> is taken as
+    (N - floor(N/D) D)/D, which is (N % D)/D on int64 arrays.
     """
-    p, pn = table.p, table.modulus
+    p, n, pn = table.p, table.n, table.modulus
     if t % p == 0:
         raise ArgumentNotRepresentableError(
             "shift order t must be prime to p"
         )
-    x = Fraction(j, p - 1)
-    base = 1
-    for h in range(1, t):
-        base = base * table.gamma_fraction(Fraction(h, t)) % pn
-    omega_t = teichmuller(p, t, table.n)
+    j, scalar = _args(j)
+    base = _gamma_unit_fractions(table, t)
+    omega_pow = powers_mod(teichmuller(p, t, n), p - 1, pn)
+    d = t * (p - 1)
+    ok = np.ones(j.shape, dtype=bool)
     for s in (1, -1):
-        lhs = pow(omega_t, (s * t * j) % (p - 1), pn)
-        lhs = lhs * table.gamma_fraction(frac_bracket(s * t * x)) % pn
-        lhs = lhs * base % pn
-        rhs = 1
-        for h in range(t):
-            rhs = rhs * table.gamma_fraction(
-                frac_bracket(Fraction(h, t) + s * x)
-            ) % pn
-        if lhs != rhs:
-            return False
-    return True
+        stj = s * t * j
+        e = stj % (p - 1)
+        lhs = mulmod(omega_pow[e], base, p, n)
+        lhs = mulmod(lhs, _gamma_product(table, (e,), p - 1), p, n)
+        # h/t + s x = (h(p-1) + s t j) / (t(p-1))
+        ok &= lhs == _gamma_product(table, ((h * (p - 1) + stj) % d for h in range(t)), d)
+    return bool(ok[0]) if scalar else ok

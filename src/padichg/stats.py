@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import PadicHGError
 from .field import PrimeContext
 from .hypergeo import family_sweep
 
@@ -143,10 +144,22 @@ def ks_statistic(atoms: np.ndarray, counts: np.ndarray) -> float:
 def distribution_report(
     ctx: PrimeContext, family: str, bins: int = 40
 ) -> DistributionReport:
-    """Histogram of value/sqrt(p) on [-2, 2] plus the exact K-S distance."""
+    """Histogram of value/sqrt(p) on [-2, 2] plus the exact K-S distance.
+
+    Every value is one of the 2 bound + 1 integers in [-bound, bound],
+    bound = floor(2 sqrt p), so that many bins already give each value
+    about a bin of its own; a larger count raises PadicHGError before any
+    work is done.
+    """
+    bound = math.isqrt(4 * ctx.p)
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    atoms, mult = value_counts(family_values(ctx, family), math.isqrt(4 * ctx.p))
+    if bins > 2 * bound + 1:
+        raise PadicHGError(
+            f"{bins} bins exceed the {2 * bound + 1} integer values a family "
+            f"can take at p = {ctx.p}"
+        )
+    atoms, mult = value_counts(family_values(ctx, family), bound)
     points = atoms / math.sqrt(ctx.p)
     counts, edges = np.histogram(points, bins=bins, range=(-2.0, 2.0), weights=mult)
     n = int(mult.sum())

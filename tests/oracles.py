@@ -123,6 +123,62 @@ def teichmuller_limit(p: int, t: int, n: int) -> int:
         a = b
 
 
+# The Gamma_p identity checks, one argument at a time in Python ints.  They
+# take a GammaTable but read only its scalar methods gamma_residue,
+# gamma_fraction and fraction_residue, the Python-int path of the table.
+
+
+def reflection_reference(table, x: Fraction | int) -> bool:
+    """Gamma_p(x) * Gamma_p(1 - x) == (-1)^(digit of x in {1..p})."""
+    pn = table.modulus
+    r = table.fraction_residue(x) if isinstance(x, Fraction) else x % pn
+    x0 = r % table.p
+    if x0 == 0:
+        x0 = table.p
+    lhs = table.gamma_residue(r) * table.gamma_residue((1 - r) % pn) % pn
+    return lhs == (-1) ** x0 % pn
+
+
+def product_formula_reference(table, m: int, r: int) -> bool:
+    """prod_h Gamma_p((x+h)/m) == omega(m)^r Gamma_p(x) prod_{h>0} Gamma_p(h/m)
+    at x = r/(p-1)."""
+    p, pn = table.p, table.modulus
+    x = Fraction(r, p - 1)
+    lhs = 1
+    for h in range(m):
+        lhs = lhs * table.gamma_fraction((x + h) / m) % pn
+    rhs = pow(teichmuller_limit(p, m, table.n), r % (p - 1), pn)
+    rhs = rhs * table.gamma_fraction(x) % pn
+    for h in range(1, m):
+        rhs = rhs * table.gamma_fraction(Fraction(h, m)) % pn
+    return lhs == rhs
+
+
+def shift_identity_reference(table, t: int, j: int) -> bool:
+    """omega(t)^(s t j) Gamma_p(<s t x>) prod_{h>0} Gamma_p(h/t)
+    == prod_h Gamma_p(<h/t + s x>) at x = j/(p-1), for s = +1 and -1."""
+    p, pn = table.p, table.modulus
+
+    def bracket(y: Fraction) -> Fraction:
+        return y - math.floor(y)
+
+    x = Fraction(j, p - 1)
+    base = 1
+    for h in range(1, t):
+        base = base * table.gamma_fraction(Fraction(h, t)) % pn
+    omega_t = teichmuller_limit(p, t, table.n)
+    for s in (1, -1):
+        lhs = pow(omega_t, (s * t * j) % (p - 1), pn)
+        lhs = lhs * table.gamma_fraction(bracket(s * t * x)) % pn
+        lhs = lhs * base % pn
+        rhs = 1
+        for h in range(t):
+            rhs = rhs * table.gamma_fraction(bracket(Fraction(h, t) + s * x)) % pn
+        if lhs != rhs:
+            return False
+    return True
+
+
 def hypergeometric_coefficients(
     p: int,
     n: int,

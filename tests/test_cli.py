@@ -162,6 +162,21 @@ class TestDistribution:
         assert set(payload) == {"p", "function", "ks", "rows"}
         assert len(payload["rows"]) == 4
 
+    def test_bins_past_value_count_rejected(self, tmp_path, capsys):
+        # values at p = 101 are the 41 integers in [-20, 20]
+        target = tmp_path / "hist.csv"
+        for bins, code_want in (("42", 2), ("41", 0)):
+            code, out, err = run_cli(
+                capsys, "distribution", "--prime", "101", "--function", "ap",
+                "--bins", bins, "--output", str(target),
+            )
+            assert code == code_want
+            assert out == ""
+            if code_want == 2:
+                assert "42 bins" in err
+                assert not target.exists()
+        assert len(target.read_text().splitlines()) == 1 + 41 + 1
+
 
 class TestTrace:
     def test_pinned_row(self, capsys):

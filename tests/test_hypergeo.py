@@ -318,7 +318,7 @@ class TestExactTransforms:
         for n in (2, 3):
             table = GammaTable(ctx, n)
             gamma = None if p**n <= 13**3 else table.gamma_fraction
-            got[n] = _coefficients(ctx, table, *rows)
+            got[n] = _coefficients(table, *rows)
             assert got[n].dtype == np.int64
             assert got[n].tolist() == hypergeometric_coefficients(p, n, *rows, gamma)
         assert (got[3] % p**2).tolist() == got[2].tolist()
@@ -330,8 +330,8 @@ class TestExactTransforms:
         rows = (G2_UPPER, G2_LOWER, 1) if p % 3 == 1 else (G6_UPPER, G6_LOWER, 0)
         ctx = ctx_of(p)
         tab = GammaTable(ctx, 3)
-        c2 = _coefficients(ctx, GammaTable(ctx, 2), *rows)
-        c3 = _coefficients(ctx, tab, *rows)
+        c2 = _coefficients(GammaTable(ctx, 2), *rows)
+        c3 = _coefficients(tab, *rows)
         assert c3.tolist() == hypergeometric_coefficients(p, 3, *rows, tab.gamma_fraction)
         assert (c3 % p**2).tolist() == c2.tolist()
         r = np.array(random.Random(p).sample(range(p**3), 200), dtype=np.int64)

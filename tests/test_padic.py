@@ -1,5 +1,6 @@
 """Truncated residues, Teichmuller lifts, and the p-adic gamma table."""
 
+import copy
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -24,9 +25,20 @@ from padichg import (
     reflection_check,
     teichmuller,
 )
+from padichg import verify
 from padichg.errors import ArgumentNotRepresentableError
+from padichg.field import mulmod
 
-from oracles import gamma_morita, gamma_tables_loop, teichmuller_limit
+from oracles import (
+    gamma_morita,
+    gamma_tables_loop,
+    product_formula_reference,
+    reflection_reference,
+    shift_identity_reference,
+    teichmuller_limit,
+)
+
+ORDERS = (2, 3, 4, 6, 12)
 
 
 class TestResidueMod:
@@ -215,6 +227,65 @@ def test_shift_identity(table_of):
     assert gamma_shift_check(table_of(11), 3, 5)
     with pytest.raises(ArgumentNotRepresentableError):
         gamma_shift_check(table_of(7), 7, 1)
+
+
+def _reflection_args(t: GammaTable) -> np.ndarray:
+    # the residues of k/(p-1) mod p^n, k = 0 .. p-2, as the gamma suite takes them
+    k = np.arange(t.p - 1, dtype=np.int64)
+    return mulmod(k, pow(t.p - 1, -1, t.modulus), t.p, t.n)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 97])
+def test_array_checks_match_scalar_reference(table_of, p):
+    t = table_of(p)
+    ok = reflection_check(t, _reflection_args(t))
+    assert ok.dtype == bool
+    assert ok.tolist() == [reflection_reference(t, Fraction(k, p - 1)) for k in range(p - 1)]
+    r = np.arange(-2 * p, p * p, dtype=np.int64)
+    assert reflection_check(t, r).tolist() == [reflection_reference(t, x) for x in r.tolist()]
+    for m in ORDERS:
+        got = product_formula_check(t, m, np.arange(p, dtype=np.int64))
+        assert got.tolist() == [product_formula_reference(t, m, x) for x in range(p)]
+        got = gamma_shift_check(t, m, np.arange(p - 1, dtype=np.int64))
+        assert got.tolist() == [shift_identity_reference(t, m, j) for j in range(p - 1)]
+
+
+@pytest.mark.parametrize("p", [1447, 1451])
+def test_array_reflection_past_plain_products(table_of, p):
+    # from 1451 on, p^6 > 2^63 and mulmod takes base-p digits at n = 3
+    t = table_of(p)
+    ok = reflection_check(t, _reflection_args(t))
+    assert ok.tolist() == [reflection_reference(t, Fraction(k, p - 1)) for k in range(p - 1)]
+
+
+def test_corrupted_table_is_flagged(ctx_of, monkeypatch):
+    # one wrong factorial entry, fact[i] = i!, touches exactly the
+    # arguments whose Gamma_p reads it: r or 1 - r with digit i + 1 mod p
+    p, i = 7, 1
+    good = GammaTable(ctx_of(p), 3)
+    bad = copy.copy(good)
+    bad._fact = good._fact.copy()
+    bad._fact[i] += 1
+    r = np.arange(p**3, dtype=np.int64)
+    assert reflection_check(good, r).all()
+    touched = (r % p == i + 1) | ((1 - r) % p == i + 1)
+    assert np.array_equal(~reflection_check(bad, r), touched)
+    for m in ORDERS:
+        got = product_formula_check(bad, m, np.arange(p, dtype=np.int64))
+        assert got.tolist() == [product_formula_reference(bad, m, x) for x in range(p)]
+        got = gamma_shift_check(bad, m, np.arange(p - 1, dtype=np.int64))
+        assert got.tolist() == [shift_identity_reference(bad, m, j) for j in range(p - 1)]
+
+    monkeypatch.setattr(
+        verify, "build_gamma_table", lambda ctx, n: bad if n == 3 else GammaTable(ctx, n)
+    )
+    frag = verify._gamma_worker(p)
+    # k/(p-1) = -k mod p, and 1 - k/(p-1) = 1 + k mod p
+    assert frag["reflection"] == (1, p - 1, [f"p={p} k={i}", f"p={p} k={p - 1 - i}"])
+    for name in ("product-formula", "shift-identity"):
+        assert frag[name][2]
+    failed = {res.name for res in verify.run_suite("gamma", p, p) if not res.ok}
+    assert {"reflection", "product-formula", "shift-identity"} <= failed
 
 
 def test_residue_dtype_boundary(ctx_of):

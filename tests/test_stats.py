@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from padichg import (
+    PadicHGError,
     catalan,
     distribution_report,
     ks_statistic,
@@ -164,6 +165,12 @@ class TestDistributionReport:
     def test_bad_bins(self, ctx_of):
         with pytest.raises(ValueError):
             distribution_report(ctx_of(7), "2g2", bins=0)
+
+    def test_bins_past_value_count(self, ctx_of):
+        # values at p = 7 are the 11 integers in [-5, 5]
+        assert len(distribution_report(ctx_of(7), "2g2", bins=11).rows) == 11
+        with pytest.raises(PadicHGError):
+            distribution_report(ctx_of(7), "2g2", bins=12)
 
     def test_deterministic(self, ctx_of):
         a = distribution_report(ctx_of(13), "2g2", bins=6)
