@@ -228,11 +228,10 @@ def _coefficients(
     ]
     pw = np.array(pw, dtype=np.int64)
     n = table.n
-    gamma = table.vectorized()
 
     def gamma_at(k: np.ndarray, minv: int) -> np.ndarray:
         # Gamma_p(k / m) mod p^n for numerators k mod m
-        return gamma(mulmod(k % pn, minv, p, n))
+        return table.gamma_residue(mulmod(k % pn, minv, p, n))
 
     blocks = []
     # blocks of j keep the temporaries small next to the O(p) tables
@@ -263,6 +262,13 @@ def _coefficients(
     return s
 
 
+def _check_table(ctx: PrimeContext, table: GammaTable) -> None:
+    if table.p != ctx.p:
+        raise ValueError(
+            f"mixed primes: a Gamma_p table for p = {table.p} with a context for p = {ctx.p}"
+        )
+
+
 def _digit_rows(ctx: PrimeContext, key, n: int, residues) -> np.ndarray:
     """The (n, len) base-p digit rows of residues() mod p^n, cached on the
     context under key."""
@@ -283,8 +289,10 @@ def eval_gn(
     """p^p_shift * nGn[upper; lower | t] mod p^n, exactly.
 
     At t = 0 every summand vanishes (chi(0) := 0 for all characters,
-    the trivial one included), so the value is 0.
+    the trivial one included), so the value is 0.  table must be for
+    the context's prime, else ValueError.
     """
+    _check_table(ctx, table)
     p, n = table.p, table.n
     t %= p
     if t == 0:
@@ -333,8 +341,10 @@ def eval_family(
 
     Outside its class 2g2 raises WrongResidueClassError, and 6g6 returns
     a residue with no claimed bound.  A tilde family at lambda = -1 is
-    -correction_term() = a_p(-1), with the Hasse bound.
+    -correction_term() = a_p(-1), with the Hasse bound.  table must be
+    for the context's prime, else ValueError.
     """
+    _check_table(ctx, table)
     fam = _lookup(family)
     p, n, pn = ctx.p, table.n, table.modulus
     rot = fam.rotation * (p - 1)

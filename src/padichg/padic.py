@@ -3,7 +3,8 @@
 Working precision is a modulus p^n: a ResidueMod is an element of Z/p^n
 standing for a p-adic integer known to n digits.  GammaTable evaluates
 Gamma_p at any p-adic integer argument mod p^n in O(1) after an O(p)
-precompute, for n <= 3, the largest precision it supports.
+precompute, for n <= 3, the largest precision it supports.  Its one
+evaluator, gamma_residue, takes an int or an int64 array of arguments.
 
 The O(1) evaluation rests on a block identity: for p >= 5 the product of
 the prime-to-p integers in any length-p block, prod_{c=1}^{p-1} (ip + c),
@@ -19,8 +20,8 @@ Gamma_p is 1-Lipschitz, the value mod p^n only depends on the argument
 mod p^n, so this covers every p-adic integer argument.
 
 The O(p) tables are int64 numpy arrays built by field.cumprod_mod; H
-only enters times p, so it is kept mod p^(n-1).  GammaTable.vectorized()
-shares these arrays rather than copying them, and multiplies residues
+only enters times p, so it is kept mod p^(n-1).  gamma_residue reduces
+its argument mod p^n, gathers from these arrays and multiplies residues
 through field.mulmod: a plain int64 product while p^(2n) < 2^63
 (p <= 1447 at n = 3, p <= 55103 at n = 2), a base-p digit product above.
 Every residue mod p^n must itself fit in int64, so precision 3 stops at
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
@@ -175,7 +175,7 @@ class GammaTable:
 
     Its tables, for c = 0 .. p-1 and w = (p-1)!, are int64 arrays: c! and
     w^c mod p^n, H_c mod p^(n-1) (n >= 2), E_c mod p and w^(p c) mod p^n
-    (n = 3).  vectorized() shares them.  Residues mod p^n must fit in
+    (n = 3).  gamma_residue reads them.  Residues mod p^n must fit in
     int64, so n = 3 needs p < 2^21.
     """
 
@@ -188,7 +188,6 @@ class GammaTable:
         "_e2",
         "_w_lo",
         "_w_hi",
-        "_frac_cache",
     )
 
     def __init__(self, ctx: PrimeContext, n: int = 2):
@@ -202,7 +201,6 @@ class GammaTable:
             )
         self.n = n
         pn = self.modulus = p**n
-        self._frac_cache: dict = {}
         c = np.arange(p, dtype=np.int64)
         c[0] = 1
         self._fact = cumprod_mod(c, pn)
@@ -225,56 +223,31 @@ class GammaTable:
             self._w_hi = powers_mod(pow(w, p, pn), p, pn)
         self._h1 = h1
 
-    def gamma_residue(self, r: int) -> int:
-        """Gamma_p at any p-adic integer congruent to r mod p^n."""
-        p, pn = self.p, self.modulus
-        r %= pn
-        if r == 0:
-            return 1  # Gamma_p(0) = 1
-        q, rem = divmod(r, p)
-        part = 1
-        if rem:
-            part = int(self._fact[rem - 1])
-            if self.n >= 2:
-                corr = 1 + q * p * int(self._h1[rem - 1])
-                if self.n >= 3:
-                    corr += q * q % p * p * p * int(self._e2[rem - 1])
-                part = part * (corr % pn) % pn
-        wq = int(self._w_lo[q % p])
-        if q >= p:
-            wq = wq * int(self._w_hi[q // p]) % pn
-        val = wq * part % pn
-        if (q + rem) % 2:
-            val = pn - val if val else 0
-        return val
+    def gamma_residue(self, r: int | np.ndarray) -> int | np.ndarray:
+        """Gamma_p at the p-adic integers congruent to r mod p^n.
 
-    def vectorized(self) -> Callable[[np.ndarray], np.ndarray]:
-        """gamma_residue lifted to arrays of residues mod p^n.
-
-        The returned function maps an int64 array of residues to an int64
-        array.  It reads the table's own arrays.
+        r is an int, giving an int, or an int64 array, giving an int64
+        array entry by entry.  It is reduced mod p^n first.
         """
         p, n, pn = self.p, self.n, self.modulus
         fact, h1, e2, w_lo, w_hi = self._fact, self._h1, self._e2, self._w_lo, self._w_hi
-
-        def gamma(r: np.ndarray) -> np.ndarray:
-            q, rem = r // p, r % p
-            k = rem - 1  # -1 where rem = 0, masked below
-            part = fact[k]
-            if h1 is not None:
-                # q p H + q^2 p^2 E mod p^n = p * (q H + p (q^2 E mod p) mod p^(n-1))
-                x = mulmod(q, h1[k], p, n - 1)
-                if e2 is not None:
-                    x = (x + p * ((q % p) ** 2 % p * e2[k] % p)) % (pn // p)
-                part = mulmod(part, 1 + p * x, p, n)
-            part = np.where(rem == 0, 1, part)
-            wq = w_lo[q % p]
-            if w_hi is not None:
-                wq = mulmod(wq, w_hi[q // p], p, n)
-            val = mulmod(wq, part, p, n)
-            return np.where((q + k) % 2 == 0, (pn - val) % pn, val)
-
-        return gamma
+        r = r % pn
+        q, rem = r // p, r % p
+        k = rem - 1  # -1 where rem = 0, masked below
+        part = fact[k]
+        if h1 is not None:
+            # q p H + q^2 p^2 E mod p^n = p * (q H + p (q^2 E mod p) mod p^(n-1))
+            x = mulmod(q, h1[k], p, n - 1)
+            if e2 is not None:
+                x = (x + p * ((q % p) ** 2 % p * e2[k] % p)) % (pn // p)
+            part = mulmod(part, 1 + p * x, p, n)
+        part = np.where(rem == 0, 1, part)
+        wq = w_lo[q % p]
+        if w_hi is not None:
+            wq = mulmod(wq, w_hi[q // p], p, n)
+        val = mulmod(wq, part, p, n)
+        val = np.where((q + k) % 2 == 0, (pn - val) % pn, val)
+        return val if np.ndim(r) else int(val)
 
     def fraction_residue(self, x: Fraction) -> int:
         """The residue mod p^n of a rational that is a p-adic integer."""
@@ -284,16 +257,7 @@ class GammaTable:
             raise ParameterNotPadicError(
                 f"{x} has denominator divisible by p = {self.p}"
             )
-        key = (x.numerator, x.denominator)
-        hit = self._frac_cache.get(key)
-        if hit is None:
-            hit = (
-                x.numerator
-                * pow(x.denominator, -1, self.modulus)
-                % self.modulus
-            )
-            self._frac_cache[key] = hit
-        return hit
+        return x.numerator * pow(x.denominator, -1, self.modulus) % self.modulus
 
     def gamma_fraction(self, x: Fraction | int) -> int:
         """Gamma_p(x) mod p^n for a rational p-adic integer x."""
@@ -307,7 +271,7 @@ class GammaTable:
         """All p-1 canonical values Gamma_p(k/(p-1)), k = 0 .. p-2."""
         k = np.arange(self.p - 1, dtype=np.int64)
         inv = pow(self.p - 1, -1, self.modulus)
-        return self.vectorized()(mulmod(k, inv, self.p, self.n)).tolist()
+        return self.gamma_residue(mulmod(k, inv, self.p, self.n)).tolist()
 
 
 def build_gamma_table(ctx: PrimeContext, n: int | None = None) -> GammaTable:
@@ -331,7 +295,7 @@ def gamma_p_integer(table: GammaTable, m: int) -> ResidueMod:
     """
     if m < 0:
         raise ValueError("integer gamma argument must be >= 0")
-    return ResidueMod(table.gamma_residue(m % table.modulus), table.p, table.n)
+    return ResidueMod(table.gamma_residue(m), table.p, table.n)
 
 
 def _args(x) -> tuple[np.ndarray, bool]:
@@ -343,20 +307,17 @@ def _gamma_product(table: GammaTable, nums, den: int) -> np.ndarray:
     """prod_i Gamma_p(nums[i] / den) mod p^n, entrywise, for int64 arrays
     nums[i] and den prime to p."""
     p, n, pn = table.p, table.n, table.modulus
-    gamma = table.vectorized()
     inv = pow(den, -1, pn)
     out = 1
     for num in nums:
-        out = mulmod(out, gamma(mulmod(num % pn, inv, p, n)), p, n)
+        out = mulmod(out, table.gamma_residue(mulmod(num % pn, inv, p, n)), p, n)
     return out
 
 
 def _gamma_unit_fractions(table: GammaTable, m: int) -> int:
-    """prod_{h=1}^{m-1} Gamma_p(h/m) mod p^n, in Python ints."""
-    out = 1
-    for h in range(1, m):
-        out = out * table.gamma_fraction(Fraction(h, m)) % table.modulus
-    return out
+    """prod_{h=1}^{m-1} Gamma_p(h/m) mod p^n."""
+    vals = _gamma_product(table, (np.arange(1, m, dtype=np.int64),), m)
+    return math.prod(vals.tolist()) % table.modulus
 
 
 def reflection_check(table: GammaTable, x):

@@ -27,13 +27,13 @@ multiplication/shift formulas and float Gauss checks at p <= 100,
 orthogonality at p <= 200, the decomposition identity at p <= 100, and
 the Hasse-bound scan at p <= 199 (the anchor checks cover large p).
 
-The gamma suite evaluates reflection, the multiplication formula, the
-shift identity and precision consistency on whole int64 arrays per prime
-(or per order m, t), through GammaTable.vectorized(); each False entry
-becomes one failure string.  The functional equation stays on the
-scalar Python-int GammaTable.gamma_residue, which gamma_fraction,
-gamma_p and gamma_p_integer still use, so that path is checked at every
-prime too.
+The gamma suite evaluates every Gamma_p identity on whole int64 arrays
+per prime (or per order m, t) through GammaTable.gamma_residue, the one
+evaluator that gamma_fraction, gamma_p, gamma_p_integer and the
+hypergeometric coefficients also call; each False entry becomes one
+failure string.  The special value 6G6(-1) = 0 at p = 1 (mod 3) is a
+structural zero that eval_family returns before it reads a table, so
+the identities suite does not re-check it there.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 
 from .field import make_prime_ctx, mulmod
 from .hecke import newform_coefficients, pk_sum, trace_level4, trace_level8
-from .hypergeo import eval_family, family_sweep, integral_family
+from .hypergeo import family_sweep, integral_family
 from .padic import (
     build_gamma_table,
     gamma_shift_check,
@@ -153,10 +153,7 @@ def _identities_worker(p: int) -> _Frag:
             sp_fails.append(f"p={p}: 2G2(1)={int(g[1])}, phi(-2)={s}")
         if int(g[p - 1]) != 0:
             sp_fails.append(f"p={p}: 2G2(-1)={int(g[p - 1])} != 0")
-        g6m1 = eval_family(ctx, build_gamma_table(ctx, 2), "6g6", p - 1)
-        if g6m1.residue.value != 0:
-            sp_fails.append(f"p={p}: 6G6(-1) residue {g6m1.residue.value} != 0")
-        frag["special-values"] = (1, 3, sp_fails)
+        frag["special-values"] = (1, 2, sp_fails)
         tl = family_sweep(ctx, "2g2t")
     else:
         g = family_sweep(ctx, "6g6")
@@ -202,13 +199,10 @@ def _gamma_worker(p: int) -> _Frag:
     for extra in (p - 1, p, p + 1, 2 * p, 3 * p - 1, p * p - p, p * p - 2, p * p - 1):
         if 0 < extra < p * p and extra not in ns:
             ns.append(extra)
-    fe_fails = []
-    for m in ns:
-        lhs = t3.gamma_residue(m + 1)
-        fac = (pn - m) % pn if m % p else pn - 1
-        if lhs != fac * t3.gamma_residue(m) % pn:
-            fe_fails.append(f"p={p} n={m}")
-    frag["functional-equation"] = (1, len(ns), fe_fails)
+    m = np.array(ns, dtype=np.int64)
+    fac = np.where(m % p == 0, pn - 1, (pn - m) % pn)
+    ok = t3.gamma_residue(m + 1) == mulmod(fac, t3.gamma_residue(m), p, 3)
+    frag["functional-equation"] = (1, len(ns), [f"p={p} n={x}" for x in m[~ok].tolist()])
 
     if p <= 200:
         pn3 = p**3

@@ -52,6 +52,16 @@ def _prime_to_p_products(p: int, n: int) -> list[int]:
     return out
 
 
+def _residue(p: int, n: int, x: Fraction | int) -> int:
+    """The residue mod p^n of a rational p-adic integer x."""
+    pn = p**n
+    if isinstance(x, Fraction):
+        if x.denominator % p == 0:
+            raise ValueError(f"{x} is not a p-adic integer at p = {p}")
+        return x.numerator * pow(x.denominator, -1, pn) % pn
+    return x % pn
+
+
 def gamma_morita(p: int, n: int, x: Fraction | int) -> int:
     """Gamma_p(x) mod p^n from the literal factorial product.
 
@@ -60,12 +70,7 @@ def gamma_morita(p: int, n: int, x: Fraction | int) -> int:
     1-Lipschitz continuity.
     """
     pn = p**n
-    if isinstance(x, Fraction):
-        if x.denominator % p == 0:
-            raise ValueError(f"{x} is not a p-adic integer at p = {p}")
-        r = x.numerator * pow(x.denominator, -1, pn) % pn
-    else:
-        r = x % pn
+    r = _residue(p, n, x)
     v = _prime_to_p_products(p, n)[r]
     return v if r % 2 == 0 else (pn - v) % pn
 
@@ -110,6 +115,38 @@ def gamma_tables_loop(p: int, n: int) -> dict[str, list[int] | None]:
     }
 
 
+_loop_tables = lru_cache(maxsize=None)(gamma_tables_loop)
+
+
+def gamma_block(p: int, n: int, x: Fraction | int, tables: dict | None = None) -> int:
+    """Gamma_p(x) mod p^n for n <= 3 by the block formula, in Python ints.
+
+    With r = x mod p^n = q p + c, Gamma_p(x) is
+    (-1)^(q+c) w^q (c-1)! (1 + q p H_(c-1) + q^2 p^2 E_(c-1)) mod p^n,
+    where w = (p-1)! and the factor (c-1)! (...) is 1 when c = 0; the
+    tables are gamma_tables_loop(p, n) unless given.
+    """
+    pn = p**n
+    t = tables or _loop_tables(p, n)
+    r = _residue(p, n, x)
+    if r == 0:
+        return 1
+    q, c = divmod(r, p)
+    part = 1
+    if c:
+        corr = 1
+        if n >= 2:
+            corr += q * p * t["h1"][c - 1]
+        if n >= 3:
+            corr += q * q * p * p * t["e2"][c - 1]
+        part = t["fact"][c - 1] * corr % pn
+    wq = t["w_lo"][q % p]
+    if q >= p:
+        wq = wq * t["w_hi"][q // p] % pn
+    val = wq * part % pn
+    return (pn - val) % pn if (q + c) % 2 else val
+
+
 def teichmuller_limit(p: int, t: int, n: int) -> int:
     """omega(t) mod p^n as the stable limit of t, t^p, t^(p^2), ..."""
     pn = p**n
@@ -123,41 +160,47 @@ def teichmuller_limit(p: int, t: int, n: int) -> int:
         a = b
 
 
-# The Gamma_p identity checks, one argument at a time in Python ints.  They
-# take a GammaTable but read only its scalar methods gamma_residue,
-# gamma_fraction and fraction_residue, the Python-int path of the table.
+# The Gamma_p identity checks, one argument at a time in Python ints.
+# gamma(x) is Gamma_p(x) mod p^n for a rational p-adic integer or an int
+# (default: gamma_block).
 
 
-def reflection_reference(table, x: Fraction | int) -> bool:
+def reflection_reference(
+    p: int, n: int, x: Fraction | int, gamma: Callable | None = None
+) -> bool:
     """Gamma_p(x) * Gamma_p(1 - x) == (-1)^(digit of x in {1..p})."""
-    pn = table.modulus
-    r = table.fraction_residue(x) if isinstance(x, Fraction) else x % pn
-    x0 = r % table.p
-    if x0 == 0:
-        x0 = table.p
-    lhs = table.gamma_residue(r) * table.gamma_residue((1 - r) % pn) % pn
-    return lhs == (-1) ** x0 % pn
+    gamma = gamma or partial(gamma_block, p, n)
+    pn = p**n
+    r = _residue(p, n, x)
+    x0 = r % p or p
+    return gamma(r) * gamma(1 - r) % pn == (-1) ** x0 % pn
 
 
-def product_formula_reference(table, m: int, r: int) -> bool:
+def product_formula_reference(
+    p: int, n: int, m: int, r: int, gamma: Callable | None = None
+) -> bool:
     """prod_h Gamma_p((x+h)/m) == omega(m)^r Gamma_p(x) prod_{h>0} Gamma_p(h/m)
     at x = r/(p-1)."""
-    p, pn = table.p, table.modulus
+    gamma = gamma or partial(gamma_block, p, n)
+    pn = p**n
     x = Fraction(r, p - 1)
     lhs = 1
     for h in range(m):
-        lhs = lhs * table.gamma_fraction((x + h) / m) % pn
-    rhs = pow(teichmuller_limit(p, m, table.n), r % (p - 1), pn)
-    rhs = rhs * table.gamma_fraction(x) % pn
+        lhs = lhs * gamma((x + h) / m) % pn
+    rhs = pow(teichmuller_limit(p, m, n), r % (p - 1), pn)
+    rhs = rhs * gamma(x) % pn
     for h in range(1, m):
-        rhs = rhs * table.gamma_fraction(Fraction(h, m)) % pn
+        rhs = rhs * gamma(Fraction(h, m)) % pn
     return lhs == rhs
 
 
-def shift_identity_reference(table, t: int, j: int) -> bool:
+def shift_identity_reference(
+    p: int, n: int, t: int, j: int, gamma: Callable | None = None
+) -> bool:
     """omega(t)^(s t j) Gamma_p(<s t x>) prod_{h>0} Gamma_p(h/t)
     == prod_h Gamma_p(<h/t + s x>) at x = j/(p-1), for s = +1 and -1."""
-    p, pn = table.p, table.modulus
+    gamma = gamma or partial(gamma_block, p, n)
+    pn = p**n
 
     def bracket(y: Fraction) -> Fraction:
         return y - math.floor(y)
@@ -165,15 +208,15 @@ def shift_identity_reference(table, t: int, j: int) -> bool:
     x = Fraction(j, p - 1)
     base = 1
     for h in range(1, t):
-        base = base * table.gamma_fraction(Fraction(h, t)) % pn
-    omega_t = teichmuller_limit(p, t, table.n)
+        base = base * gamma(Fraction(h, t)) % pn
+    omega_t = teichmuller_limit(p, t, n)
     for s in (1, -1):
         lhs = pow(omega_t, (s * t * j) % (p - 1), pn)
-        lhs = lhs * table.gamma_fraction(bracket(s * t * x)) % pn
+        lhs = lhs * gamma(bracket(s * t * x)) % pn
         lhs = lhs * base % pn
         rhs = 1
         for h in range(t):
-            rhs = rhs * table.gamma_fraction(bracket(Fraction(h, t) + s * x)) % pn
+            rhs = rhs * gamma(bracket(Fraction(h, t) + s * x)) % pn
         if lhs != rhs:
             return False
     return True

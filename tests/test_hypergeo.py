@@ -4,6 +4,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from padichg.hypergeo import (
 
 from oracles import (
     ap_point_count,
+    gamma_block,
     hypergeometric_coefficients,
     hypergeometric_sum,
     legendre_2g2_literal,
@@ -192,6 +194,18 @@ def test_eval_family_dispatch(ctx_of, table_of):
         eval_family(ctx, tab, "9g9", 3)
 
 
+def test_table_of_another_prime_rejected():
+    # a table for 19 must not evaluate residues labelled mod 13^n, nor
+    # leave digit rows for the wrong prime on the context
+    ctx, tab = make_prime_ctx(13), GammaTable(make_prime_ctx(19), 2)
+    for lam in (0, 3, 12):
+        with pytest.raises(ValueError, match="mixed primes"):
+            eval_family(ctx, tab, "2g2", lam)
+    with pytest.raises(ValueError, match="mixed primes"):
+        eval_gn(ctx, tab, G2_UPPER, G2_LOWER, 5, 1)
+    assert ctx.digits == {}
+
+
 class TestFamilySweep:
     def test_pinned_p7(self, ctx_of):
         assert family_sweep(ctx_of(7), "2g2").tolist() == [0, -1, 0, -4, 0, 4, 0]
@@ -311,13 +325,13 @@ class TestExactTransforms:
     def test_coefficients_object_dtype(self, p):
         # the int64 coefficients against the Python-int transcription; it
         # reads the literal factorial oracle while that p^n-entry table is
-        # small, and the scalar Python-int gamma_fraction above that
+        # small, and the oracle's block formula above that
         rows = (G2_UPPER, G2_LOWER, 1) if p % 3 == 1 else (G6_UPPER, G6_LOWER, 0)
         ctx = make_prime_ctx(p)
         got = {}
         for n in (2, 3):
             table = GammaTable(ctx, n)
-            gamma = None if p**n <= 13**3 else table.gamma_fraction
+            gamma = None if p**n <= 13**3 else partial(gamma_block, p, n)
             got[n] = _coefficients(table, *rows)
             assert got[n].dtype == np.int64
             assert got[n].tolist() == hypergeometric_coefficients(p, n, *rows, gamma)
@@ -332,10 +346,10 @@ class TestExactTransforms:
         tab = GammaTable(ctx, 3)
         c2 = _coefficients(GammaTable(ctx, 2), *rows)
         c3 = _coefficients(tab, *rows)
-        assert c3.tolist() == hypergeometric_coefficients(p, 3, *rows, tab.gamma_fraction)
+        assert c3.tolist() == hypergeometric_coefficients(p, 3, *rows, partial(gamma_block, p, 3))
         assert (c3 % p**2).tolist() == c2.tolist()
         r = np.array(random.Random(p).sample(range(p**3), 200), dtype=np.int64)
-        assert tab.vectorized()(r).tolist() == [tab.gamma_residue(x) for x in r.tolist()]
+        assert tab.gamma_residue(r).tolist() == [gamma_block(p, 3, x) for x in r.tolist()]
 
     def test_tilde_leaves_plain_cache_intact(self):
         ctx = make_prime_ctx(1009)

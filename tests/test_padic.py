@@ -3,6 +3,7 @@
 import copy
 import random
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,6 +31,7 @@ from padichg.errors import ArgumentNotRepresentableError
 from padichg.field import mulmod
 
 from oracles import (
+    gamma_block,
     gamma_morita,
     gamma_tables_loop,
     product_formula_reference,
@@ -240,14 +242,14 @@ def test_array_checks_match_scalar_reference(table_of, p):
     t = table_of(p)
     ok = reflection_check(t, _reflection_args(t))
     assert ok.dtype == bool
-    assert ok.tolist() == [reflection_reference(t, Fraction(k, p - 1)) for k in range(p - 1)]
+    assert ok.tolist() == [reflection_reference(p, 3, Fraction(k, p - 1)) for k in range(p - 1)]
     r = np.arange(-2 * p, p * p, dtype=np.int64)
-    assert reflection_check(t, r).tolist() == [reflection_reference(t, x) for x in r.tolist()]
+    assert reflection_check(t, r).tolist() == [reflection_reference(p, 3, x) for x in r.tolist()]
     for m in ORDERS:
         got = product_formula_check(t, m, np.arange(p, dtype=np.int64))
-        assert got.tolist() == [product_formula_reference(t, m, x) for x in range(p)]
+        assert got.tolist() == [product_formula_reference(p, 3, m, x) for x in range(p)]
         got = gamma_shift_check(t, m, np.arange(p - 1, dtype=np.int64))
-        assert got.tolist() == [shift_identity_reference(t, m, j) for j in range(p - 1)]
+        assert got.tolist() == [shift_identity_reference(p, 3, m, j) for j in range(p - 1)]
 
 
 @pytest.mark.parametrize("p", [1447, 1451])
@@ -255,7 +257,7 @@ def test_array_reflection_past_plain_products(table_of, p):
     # from 1451 on, p^6 > 2^63 and mulmod takes base-p digits at n = 3
     t = table_of(p)
     ok = reflection_check(t, _reflection_args(t))
-    assert ok.tolist() == [reflection_reference(t, Fraction(k, p - 1)) for k in range(p - 1)]
+    assert ok.tolist() == [reflection_reference(p, 3, Fraction(k, p - 1)) for k in range(p - 1)]
 
 
 def test_corrupted_table_is_flagged(ctx_of, monkeypatch):
@@ -266,15 +268,21 @@ def test_corrupted_table_is_flagged(ctx_of, monkeypatch):
     bad = copy.copy(good)
     bad._fact = good._fact.copy()
     bad._fact[i] += 1
+    # the same entry off by one in the oracle's own tables
+    bad_loop = dict(gamma_tables_loop(p, 3))
+    bad_loop["fact"] = list(bad_loop["fact"])
+    bad_loop["fact"][i] += 1
+    gamma = partial(gamma_block, p, 3, tables=bad_loop)
     r = np.arange(p**3, dtype=np.int64)
     assert reflection_check(good, r).all()
     touched = (r % p == i + 1) | ((1 - r) % p == i + 1)
     assert np.array_equal(~reflection_check(bad, r), touched)
+    assert bad.gamma_residue(r).tolist() == [gamma(x) for x in r.tolist()]
     for m in ORDERS:
         got = product_formula_check(bad, m, np.arange(p, dtype=np.int64))
-        assert got.tolist() == [product_formula_reference(bad, m, x) for x in range(p)]
+        assert got.tolist() == [product_formula_reference(p, 3, m, x, gamma) for x in range(p)]
         got = gamma_shift_check(bad, m, np.arange(p - 1, dtype=np.int64))
-        assert got.tolist() == [shift_identity_reference(bad, m, j) for j in range(p - 1)]
+        assert got.tolist() == [shift_identity_reference(p, 3, m, j, gamma) for j in range(p - 1)]
 
     monkeypatch.setattr(
         verify, "build_gamma_table", lambda ctx, n: bad if n == 3 else GammaTable(ctx, n)
@@ -282,16 +290,20 @@ def test_corrupted_table_is_flagged(ctx_of, monkeypatch):
     frag = verify._gamma_worker(p)
     # k/(p-1) = -k mod p, and 1 - k/(p-1) = 1 + k mod p
     assert frag["reflection"] == (1, p - 1, [f"p={p} k={i}", f"p={p} k={p - 1 - i}"])
+    # Gamma_p(m) reads fact[i] where m = i + 1 mod p, and so does the
+    # functional equation at m and at m - 1; the suite takes m = 1 .. p^2 - 1
+    fe = frag["functional-equation"]
+    assert fe[2] == [f"p={p} n={m}" for m in range(1, p * p) if m % p in (i, i + 1)]
     for name in ("product-formula", "shift-identity"):
         assert frag[name][2]
     failed = {res.name for res in verify.run_suite("gamma", p, p) if not res.ok}
-    assert {"reflection", "product-formula", "shift-identity"} <= failed
+    assert {"reflection", "functional-equation", "product-formula", "shift-identity"} <= failed
 
 
 def test_residue_dtype_boundary(ctx_of):
     # the tables stay int64 on both sides of the plain-product edge
-    # p^(2n) < 2^63, where vectorized() switches to base-p digit products;
-    # the scalar gamma_residue, in Python ints, is the reference
+    # p^(2n) < 2^63, where gamma_residue switches to base-p digit products;
+    # the oracle's block formula, in Python ints, is the reference
     for p, n in ((1447, 3), (1451, 3), (55103, 2), (55109, 2)):
         pn = p**n
         tab = GammaTable(ctx_of(p), n)
@@ -299,8 +311,8 @@ def test_residue_dtype_boundary(ctx_of):
         rng = random.Random(p)
         r = [pn - 1 - rng.randrange(p**2) for _ in range(100)]
         r += [rng.randrange(pn) for _ in range(200)]
-        got = tab.vectorized()(np.array(r, dtype=np.int64))
-        assert got.tolist() == [tab.gamma_residue(a) for a in r]
+        got = tab.gamma_residue(np.array(r, dtype=np.int64))
+        assert got.tolist() == [gamma_block(p, n, a) for a in r]
 
 
 def test_precision_three_prime_limit():
@@ -320,5 +332,32 @@ def test_vectorized_gamma_at_int64_edge(ctx_of):
     rng = random.Random(p)
     r = [p**3 - 1 - rng.randrange(p**2) for _ in range(300)]
     r += rng.sample(range(p**3), 300)
-    got = tab.vectorized()(np.array(r, dtype=np.int64))
-    assert got.tolist() == [tab.gamma_residue(x) for x in r]
+    got = tab.gamma_residue(np.array(r, dtype=np.int64))
+    assert got.tolist() == [gamma_block(p, 3, x) for x in r]
+
+
+@pytest.mark.parametrize("p", [7, 1447, 1451, 55109])
+def test_int_and_array_arguments_agree(ctx_of, p):
+    # one evaluator: an int gives an int, an int64 array gives an int64
+    # array, entry by entry the same values
+    for n in (1, 2, 3):
+        tab = GammaTable(ctx_of(p), n)
+        rng = random.Random(p + n)
+        r = [0, 1, p - 1, p, p**n - 1] + [rng.randrange(p**n) for _ in range(50)]
+        got = tab.gamma_residue(np.array(r, dtype=np.int64))
+        assert got.dtype == np.int64
+        scalars = [tab.gamma_residue(x) for x in r]
+        assert all(type(v) is int for v in scalars)
+        assert got.tolist() == scalars
+
+
+@pytest.mark.parametrize("p", [7, 13, 1451])
+def test_array_arguments_reduced_mod_modulus(ctx_of, p):
+    # arguments outside [0, p^n) stand for their residues mod p^n
+    for n in (1, 2, 3):
+        pn = p**n
+        tab = GammaTable(ctx_of(p), n)
+        got = tab.gamma_residue(np.array([-1, -8, pn + 3], dtype=np.int64))
+        want = [gamma_block(p, n, x) for x in (pn - 1, pn - 8, 3)]
+        assert got.tolist() == want
+        assert [tab.gamma_residue(x) for x in (-1, -8, pn + 3)] == want
