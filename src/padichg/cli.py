@@ -95,14 +95,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ctx = make_prime_ctx(args.prime)
     values = family_sweep(ctx, args.function)
     start = 2 if args.function == "ap" else 0
+    bound = math.isqrt(4 * ctx.p)
     rs = math.sqrt(ctx.p)
-    rows = [
-        [lam, int(values[lam]), _fmt(int(values[lam]) / rs)]
-        for lam in range(start, ctx.p)
-    ]
+    # every value lies in [-bound, bound]: format each possible one once
+    vs = range(-bound, bound + 1)
+    rows = enumerate(values[start:].tolist(), start)
     if args.format == "json":
-        rows = [[lam, v, float(s)] for lam, v, s in rows]
-    _emit_rows(args, ["lambda", "value", "normalized"], rows)
+        cell = {
+            v: f'"value": {v},\n    "normalized": {json.dumps(_rounded(v / rs))}'
+            for v in vs
+        }
+        body = ",\n".join(
+            f'  {{\n    "lambda": {lam},\n    {cell[v]}\n  }}' for lam, v in rows
+        )
+        text = f"[\n{body}\n]\n"
+    else:
+        cell = {v: f"{v},{_fmt(v / rs)}" for v in vs}
+        body = "".join(f"{lam},{cell[v]}\n" for lam, v in rows)
+        text = f"lambda,value,normalized\n{body}"
+    _write(text, args.output)
     return 0
 
 

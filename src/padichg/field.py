@@ -10,6 +10,7 @@ modulo p - 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,11 +114,27 @@ def cumprod_mod(x, modulus: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def powers_mod(x: int, k: int, modulus: int) -> np.ndarray:
-    """x^0, x^1, ..., x^(k-1) mod modulus: cumprod_mod of [1, x, x, ...]."""
-    f = np.full(k, x % modulus, dtype=np.int64)
-    f[0] = 1
-    return cumprod_mod(f, modulus)
+def _power_row(x: int, k: int, modulus: int) -> list[int]:
+    """x^0, ..., x^(k-1) mod modulus, in one pass of Python ints."""
+    out, acc = [], 1
+    for _ in range(k):
+        out.append(acc)
+        acc = acc * x % modulus
+    return out
+
+
+def powers_mod(x: int, k: int, p: int, n: int) -> np.ndarray:
+    """x^0, x^1, ..., x^(k-1) mod p^n, as an int64 array.
+
+    With B = isqrt(k) + 1, x^(B i + j) = x^(B i) * x^j: two rows of
+    about sqrt(k) powers in Python ints, then one mulmod outer product.
+    """
+    pn = p**n
+    x %= pn
+    b = math.isqrt(k) + 1
+    lo = np.array(_power_row(x, b, pn), dtype=np.int64)
+    hi = np.array(_power_row(pow(x, b, pn), -(-k // b), pn), dtype=np.int64)
+    return mulmod(hi[:, None], lo[None, :], p, n).ravel()[:k]
 
 
 def digits(x, p: int, n: int) -> list:
@@ -214,7 +231,7 @@ class PrimeContext:
         self.p = p
         self.precision = precision
         self.g = _primitive_root(p)
-        pow_g = powers_mod(self.g, p - 1, p)
+        pow_g = powers_mod(self.g, p - 1, p, 1)
         dlog = np.empty(p, dtype=np.int64)
         dlog[0] = -1
         dlog[pow_g] = np.arange(p - 1, dtype=np.int64)
@@ -258,22 +275,25 @@ class PrimeContext:
         return -int(self.legendre[f].sum())
 
     def frobenius_sweep(self) -> np.ndarray:
-        """a_p(lambda) for every lambda, as an int64 array of length p.
+        """a_p(lambda) for every lambda, as an int32 array of length p.
 
-        a_p(lambda) = -sum_x phi(x(x-1)) phi(x-lambda) is one length-p
-        cyclic correlation of two {-1, 0, 1} sequences, computed by a real
-        FFT and rounded to the nearest integer; every value is bounded by
-        p, so rounding is exact (see exact_rint).  Entries at the singular
-        fibers lambda = 0, 1 are set to 0.
+        a_p(lambda) = -sum_x phi(x(x-1)) phi(x-lambda) is a length-p
+        cyclic correlation of two {-1, 0, 1} sequences.  Tiling
+        phi(x(x-1)) twice makes it a linear correlation, computed by a
+        real FFT of a power-of-two length >= 2p and rounded to the
+        nearest integer; every value is bounded by p, so rounding is
+        exact (see exact_rint).  Entries at the singular fibers
+        lambda = 0, 1 are set to 0.
         """
         p = self.p
         x = np.arange(p, dtype=np.int64)
-        phi_x1 = np.fft.rfft(self.legendre[x * (x - 1) % p])
-        phi = np.fft.rfft(self.legendre)
+        size = 1 << (2 * p - 1).bit_length()
+        phi_x1 = np.fft.rfft(np.tile(self.legendre[x * (x - 1) % p], 2), size)
+        phi = np.fft.rfft(self.legendre, size)
         # irfft(F(a) * conj(F(b)))[k] = sum_y a[y + k] * b[y]
-        out = -exact_rint(np.fft.irfft(phi_x1 * phi.conj(), p))
+        out = -exact_rint(np.fft.irfft(phi_x1 * phi.conj(), size)[:p])
         out[:2] = 0
-        return out
+        return out.astype(np.int32)
 
     def jacobi_sum_order4(self) -> CyclotomicInt4:
         """Jacobi sum J(phi*chi4, conj(chi4)) in Z[i], for p = 1 (mod 4).

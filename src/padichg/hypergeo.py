@@ -64,14 +64,16 @@ value is (up to its sign) W(v) = sum_j c_j zeta^(j v) mod p^2 at
 v = -dlog(t(lambda)).  The identity j v = C(j+v, 2) - C(j, 2) - C(v, 2),
 C(n, 2) = n(n-1)/2, makes W one linear correlation of c_j zeta^(-C(j,2))
 with zeta^(C(m,2)).  That correlation is exact: residues mod p^2 split
-into 11-bit limbs (three up to p = 92681, four up to p = 2^22), the
-limb correlations run as float FFTs, each output is rounded to the
-nearest integer, and the limbs recombine mod p^2 in int64.  A rounding
-residual of 0.25 or more raises PrecisionExhaustedError, and every
-lifted value is checked against the Hasse bound.  A tilde sweep copies
-the cached plain sweep and patches the entry at lambda = -1.  The a_p
-sweep is one length-p cyclic correlation of quadratic-character
-sequences (field.frobenius_sweep).
+into the fewest equal limbs whose worst-case correlation stays below
+2^46 (_limb_split: two limbs of 14 bits at p ~ 10^4, 2 x 15
+at 30011, 3 x 12 at 100003, four at 10^6), the limb correlations run
+as float FFTs, each output is rounded to the nearest integer, and the
+limbs recombine mod p^2 in int64.  A rounding residual of 0.25 or more
+raises PrecisionExhaustedError, and every lifted value is checked
+against the Hasse bound.  Sweeps are int32 arrays: every value has
+|v| <= 2 sqrt(p).  A tilde sweep copies the cached plain sweep and
+patches the entry at lambda = -1.  The a_p sweep is one correlation of
+quadratic-character sequences (field.frobenius_sweep).
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ from .errors import (
     WrongResidueClassError,
 )
 from .field import PrimeContext, digit_dot, digits, exact_rint, mulmod, powers_mod
-from .padic import GammaTable, ResidueMod, frac_bracket, teichmuller
+from .padic import GammaTable, ResidueMod, _teichmuller_lift, frac_bracket
 
 G2_UPPER = (Fraction(2, 3), Fraction(2, 3))
 G2_LOWER = (Fraction(5, 12), Fraction(11, 12))
@@ -300,7 +302,7 @@ def eval_gn(
     rows = (tuple(upper), tuple(lower), p_shift)
     s = _digit_rows(ctx, (*rows, n), n, lambda: _coefficients(table, *rows))
     zeta = _digit_rows(
-        ctx, n, n, lambda: powers_mod(teichmuller(p, ctx.g, n), p - 1, p**n)
+        ctx, n, n, lambda: powers_mod(_teichmuller_lift(p, ctx.g, n), p - 1, p, n)
     )
     # omega(t)^(-j) = zeta^(e j) with e = -dlog(t); x - x // L * L is
     # x % L, but numpy divides by a scalar much faster than it takes %
@@ -359,43 +361,61 @@ def eval_family(
     k, a, b = fam.t_coeffs
     t = k * pow(lam, a, p) * pow(1 + lam, b, p) % p
     val = eval_gn(ctx, table, fam.upper, fam.lower, t, fam.p_shift).value
-    val = val * pow(teichmuller(p, t, n), -int(rot), pn) % pn
+    if rot:
+        val = val * pow(_teichmuller_lift(p, t, n), -int(rot), pn) % pn
     if ctx.legendre_symbol(fam.sign * (1 + lam)) < 0:
         val = -val
     return GnValue(ResidueMod(val, p, n), bound)
 
 
-# limb width for the exact correlation: a residue mod p^2 takes 3 limbs up
-# to p = 92681 and 4 up to p = 2^22 (so 4 at p = 10^6), and a correlation
-# of limbs over p - 1 terms stays below 4 * 2^22 * p < 2^44 there, inside
-# exact_rint's 2^50
+# the limb split of correlate_mod: no more limbs than 11-bit ones need,
+# and a limb correlation summed over the n limb pairs of one weight stays
+# below 2^46 in the worst case, as 11-bit limbs do for p < 2^22, well
+# inside exact_rint's 2^50
 LIMB_BITS = 11
+LIMB_PEAK = 2**46
+
+
+def _limb_split(length: int, modulus: int) -> tuple[int, int]:
+    """(n, B): the fewest limbs n <= ceil(bits / LIMB_BITS) with
+    n * length * (2^B - 1)^2 < LIMB_PEAK, B = ceil(bits / n), for a
+    correlation of residues mod modulus over length terms; bits is the
+    bit length of modulus - 1.  B also stays at most 62 - bits, so that
+    Horner's rule in powers of 2^B cannot wrap an int64.  If no n
+    qualifies, the most limbs, as exact_rint then decides."""
+    bits = (modulus - 1).bit_length()
+    most = -(-bits // LIMB_BITS)
+    for n in range(1, most):
+        b = -(-bits // n)
+        if n * length * ((1 << b) - 1) ** 2 < LIMB_PEAK and bits + b < 63:
+            return n, b
+    return most, -(-bits // most)
 
 
 def correlate_mod(a: np.ndarray, b: np.ndarray, modulus: int) -> np.ndarray:
     """X[v] = sum_j a[j] * b[j + v] mod modulus, for v = 0 .. len(b) - len(a).
 
     a and b hold residues mod modulus (int64, modulus < 2^44).  Each is
-    split into LIMB_BITS-bit limbs; the limb correlations run as float
-    FFTs, are rounded by exact_rint (which raises PrecisionExhaustedError
-    if the rounding is not certain), and are recombined mod modulus by
-    Horner's rule in powers of 2^LIMB_BITS.
+    split into the limbs _limb_split picks; the limb correlations run as
+    float FFTs, are rounded by exact_rint (which raises
+    PrecisionExhaustedError if the rounding is not certain), and are
+    recombined mod modulus by Horner's rule in powers of 2^B.
     """
     na, nb = len(a), len(b)
-    nlimbs = -(-(modulus - 1).bit_length() // LIMB_BITS)
-    mask = (1 << LIMB_BITS) - 1
+    nlimbs, width = _limb_split(na, modulus)
+    mask = (1 << width) - 1
     # cyclic length >= nb keeps outputs na-1 .. nb-1 free of wrap-around
     size = 1 << (nb - 1).bit_length()
-    shifts = [LIMB_BITS * i for i in range(nlimbs)]
+    shifts = [width * i for i in range(nlimbs)]
     fa = [np.fft.rfft((a[::-1] >> s) & mask, size) for s in shifts]
     fb = [np.fft.rfft((b >> s) & mask, size) for s in shifts]
     out = np.zeros(nb - na + 1, dtype=np.int64)
-    # limb pairs (i, k - i) carry weight 2^(LIMB_BITS k); highest k first
+    # limb pairs (i, k - i) carry weight 2^(B k); highest k first
     for k in range(2 * nlimbs - 2, -1, -1):
         lo, hi = max(0, k - nlimbs + 1), min(k, nlimbs - 1)
         spec = sum(fa[i] * fb[k - i] for i in range(lo, hi + 1))
         ck = exact_rint(np.fft.irfft(spec, size)[na - 1 : nb])
-        out = ((out << LIMB_BITS) + ck) % modulus
+        out = ((out << width) + ck) % modulus
     return out
 
 
@@ -427,12 +447,13 @@ def family_sweep(ctx: PrimeContext, family: str) -> np.ndarray:
     v = -dlog(t(lambda)), with c the coefficients rolled by the family's
     rotation.  W is computed for all v at once in O(p log p): the
     identity j v = C(j+v, 2) - C(j, 2) - C(v, 2) turns it into one linear
-    correlation (_dft_mod), evaluated exactly by LIMB_BITS-bit limbs and
-    float FFTs (correlate_mod).  Any rounding residual >= 0.25 raises
+    correlation (_dft_mod), evaluated exactly by limbs and float FFTs
+    (correlate_mod).  Any rounding residual >= 0.25 raises
     PrecisionExhaustedError, and every lifted value is checked against
     the Hasse bound floor(2 sqrt p).  A tilde family is its cached plain
-    sweep with the entry at lambda = p-1
-    patched to -correction_term(); ap comes from frobenius_sweep.
+    sweep with the entry at lambda = p-1 patched to -correction_term();
+    ap comes from frobenius_sweep.  The result is a read-only int32
+    array.
     """
     p = ctx.p
     if family not in SWEEP_FAMILIES:
@@ -451,7 +472,7 @@ def family_sweep(ctx: PrimeContext, family: str) -> np.ndarray:
     pn = p * p
     s = _coefficients(GammaTable(ctx, 2), fam.upper, fam.lower, fam.p_shift)
     coeff = np.roll(s, int(fam.rotation * (p - 1)))
-    teich_pow = powers_mod(teichmuller(p, ctx.g, 2), p - 1, pn)
+    teich_pow = powers_mod(_teichmuller_lift(p, ctx.g, 2), p - 1, p, 2)
     w_all = _dft_mod(coeff, teich_pow, p)
 
     lam = np.arange(1, p - 1)  # lambda != 0, -1
@@ -465,7 +486,7 @@ def family_sweep(ctx: PrimeContext, family: str) -> np.ndarray:
         raise NoRepresentativeError(
             "sweep produced a residue outside the integrality bound"
         )
-    out = np.zeros(p, dtype=np.int64)
+    out = np.zeros(p, dtype=np.int32)
     out[1 : p - 1] = signed * ctx.legendre[fam.sign * (lam + 1) % p]
     return _cache_sweep(ctx, family, out)
 

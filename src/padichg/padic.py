@@ -161,6 +161,11 @@ def teichmuller(p: int, t: int, n: int) -> int:
         raise PrimeTooSmallError(f"p = {p} < 5 is not supported")
     if n < 1:
         raise BadPrecisionError(f"precision n = {n} must be >= 1")
+    return _teichmuller_lift(p, t, n)
+
+
+def _teichmuller_lift(p: int, t: int, n: int) -> int:
+    """teichmuller(p, t, n) without its checks, for a prime p >= 5, n >= 1."""
     if t % p == 0:
         return 0
     pn = p**n
@@ -205,7 +210,7 @@ class GammaTable:
         c[0] = 1
         self._fact = cumprod_mod(c, pn)
         w = int(self._fact[p - 1])
-        self._w_lo = powers_mod(w, p, pn)
+        self._w_lo = powers_mod(w, p, p, n)
         self._h1 = self._e2 = self._w_hi = None
         if n == 1:
             return
@@ -220,7 +225,7 @@ class GammaTable:
             # one Hensel step gives digit 1 of 1/c mod p^2, so H_c mod p^2
             hi = -inv * ((c * inv - 1) // p) % p
             h1 = (h_sum + p * (np.cumsum(hi) % p)) % (p * p)
-            self._w_hi = powers_mod(pow(w, p, pn), p, pn)
+            self._w_hi = powers_mod(pow(w, p, pn), p, p, n)
         self._h1 = h1
 
     def gamma_residue(self, r: int | np.ndarray) -> int | np.ndarray:
@@ -353,7 +358,7 @@ def product_formula_check(table: GammaTable, m: int, r):
     r, scalar = _args(r)
     # (x + h)/m = (r + h(p-1)) / (m(p-1))
     lhs = _gamma_product(table, (r + h * (p - 1) for h in range(m)), m * (p - 1))
-    rhs = powers_mod(teichmuller(p, m, n), p - 1, pn)[r % (p - 1)]
+    rhs = powers_mod(teichmuller(p, m, n), p - 1, p, n)[r % (p - 1)]
     rhs = mulmod(rhs, _gamma_unit_fractions(table, m), p, n)
     ok = lhs == mulmod(rhs, _gamma_product(table, (r,), p - 1), p, n)
     return bool(ok[0]) if scalar else ok
@@ -378,7 +383,7 @@ def gamma_shift_check(table: GammaTable, t: int, j):
         )
     j, scalar = _args(j)
     base = _gamma_unit_fractions(table, t)
-    omega_pow = powers_mod(teichmuller(p, t, n), p - 1, pn)
+    omega_pow = powers_mod(teichmuller(p, t, n), p - 1, p, n)
     d = t * (p - 1)
     ok = np.ones(j.shape, dtype=bool)
     for s in (1, -1):

@@ -8,6 +8,7 @@ frozen into the tests.
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -389,3 +390,19 @@ def semicircle_cdf_quadrature(t: float, steps: int = 200_000) -> float:
         u = -2.0 + (i + 0.5) * h
         total += math.sqrt(max(4.0 - u * u, 0.0))
     return total * h / (2.0 * math.pi)
+
+
+def sweep_text_reference(values: list[int], p: int, start: int, fmt: str) -> str:
+    """The CLI sweep's text, one formatted row per lambda: CSV lines
+    lambda,value,normalized with 12 decimals, or the rows as a JSON list
+    at indent 2 with normalized read back from those 12 decimals."""
+    rs = math.sqrt(p)
+    rows = [
+        [lam, values[lam], f"{values[lam] / rs:.12f}"] for lam in range(start, p)
+    ]
+    header = ["lambda", "value", "normalized"]
+    if fmt == "json":
+        payload = [dict(zip(header, [lam, v, float(s)])) for lam, v, s in rows]
+        return json.dumps(payload, indent=2) + "\n"
+    lines = [",".join(header)] + [",".join(str(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -1,16 +1,31 @@
 """Command-line interface: pinned outputs, formats, and exit codes."""
 
 import json
+import math
 
 import pytest
 
+from padichg import WrongResidueClassError, family_sweep, make_prime_ctx
 from padichg.cli import main
+
+from oracles import sweep_text_reference
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def first_difference(got: str, want: str):
+    """(line number, got line, wanted line) where two texts first differ,
+    or None: a short report where a diff of two long texts is slow."""
+    g, w = got.split("\n"), want.split("\n")
+    for i in range(max(len(g), len(w))):
+        a, b = (g[i] if i < len(g) else None), (w[i] if i < len(w) else None)
+        if a != b:
+            return i, a, b
+    return None
 
 
 class TestEval:
@@ -97,6 +112,31 @@ class TestSweep:
         assert code == 0
         assert lines[1].startswith("2,")
         assert len(lines) == 1 + 5
+
+    @pytest.mark.parametrize("p", [5, 7, 13, 101, 10007])
+    def test_text_matches_row_formatter(self, capsys, p):
+        # the per-value cells give the text of one formatted row per lambda
+        ctx = make_prime_ctx(p)
+        for fam in ("2g2", "2g2t", "6g6", "6g6t", "ap"):
+            try:
+                values = family_sweep(ctx, fam).tolist()
+            except WrongResidueClassError:
+                code, out, _ = run_cli(capsys, "sweep", "--prime", str(p), "--function", fam)
+                assert (code, out) == (2, ""), fam
+                continue
+            start = 2 if fam == "ap" else 0
+            for fmt in ("csv", "json"):
+                code, out, _ = run_cli(
+                    capsys, "sweep", "--prime", str(p), "--function", fam, "--format", fmt
+                )
+                assert code == 0
+                want = sweep_text_reference(values, p, start, fmt)
+                assert first_difference(out, want) is None, (fam, fmt)
+            rows = json.loads(out)
+            assert [(r["lambda"], r["value"]) for r in rows] == [
+                (lam, values[lam]) for lam in range(start, p)
+            ]
+            assert all(r["normalized"] == round(r["value"] / math.sqrt(p), 12) for r in rows)
 
     def test_precision_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:

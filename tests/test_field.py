@@ -85,6 +85,18 @@ def test_frobenius_sweep(ctx_of):
             assert int(sweep[lam]) == ap_point_count(p, lam)
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 8191, 8209])
+def test_frobenius_sweep_matches_trace(ctx_of, p):
+    # 2p falls just below (8191) and just above (8209) a power of two,
+    # the length of the tiled correlation
+    sweep = ctx_of(p).frobenius_sweep()
+    assert sweep.dtype == np.int32 and sweep.shape == (p,)
+    assert sweep[0] == 0 and sweep[1] == 0
+    lams = range(2, p) if p < 1000 else random.Random(p).sample(range(2, p), 200)
+    for lam in lams:
+        assert int(sweep[lam]) == ctx_of(p).trace_frobenius(lam), lam
+
+
 def test_hasse_bound(ctx_of):
     for p in (11, 29, 53):
         sweep = ctx_of(p).frobenius_sweep()
@@ -137,9 +149,25 @@ def test_cumprod_mod_matches_loop(p):
         assert got.dtype == np.int64
         assert got.tolist() == want
         base = x[-1]
-        assert powers_mod(base, length, modulus).tolist() == [
+        assert powers_mod(base, length, p, 3).tolist() == [
             pow(base, k, modulus) for k in range(length)
         ]
+
+
+@pytest.mark.parametrize("p, n", [(1447, 3), (1451, 3), (55103, 2), (55109, 2)])
+def test_powers_mod_matches_pow(p, n):
+    # both sides of mulmod's plain-product edge p^(2n) < 2^63
+    pn = p**n
+    for x in (2, pn - 1, random.Random(p).randrange(pn), pn + 3):
+        want, acc = [], 1
+        for _ in range(p - 1):
+            want.append(acc)
+            acc = acc * x % pn
+        assert want[-1] == pow(x, p - 2, pn)
+        for k in (0, 1, 2, 15, 16, 17, p - 1):
+            got = powers_mod(x, k, p, n)
+            assert got.dtype == np.int64 and got.shape == (k,)
+            assert got.tolist() == want[:k], (x, k)
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,9 @@ from padichg.hypergeo import (
     G2_UPPER,
     G6_LOWER,
     G6_UPPER,
+    LIMB_BITS,
     _coefficients,
+    _limb_split,
     correlate_mod,
     integral_family,
     require_integral,
@@ -186,6 +188,36 @@ class TestTildeVariants:
             eval_family(ctx_of(11), table_of(11), "2g2t", 10)
 
 
+def test_eval_family_lifts_without_primality_test(monkeypatch):
+    # a query neither re-tests the context's prime nor, for 6G6 (rotation
+    # 0), computes omega(t) at all
+    import padichg.field
+    import padichg.hypergeo
+    import padichg.padic
+
+    lifts = []
+    real_lift = padichg.hypergeo._teichmuller_lift
+
+    def lift(p, t, n):
+        lifts.append(t)
+        return real_lift(p, t, n)
+
+    def no_test(n):
+        raise AssertionError("primality test during a query")
+
+    for p, fam in ((13, "2g2"), (11, "6g6")):
+        ctx, tab = make_prime_ctx(p), GammaTable(make_prime_ctx(p), 3)
+        want = [eval_family(ctx, tab, fam, lam).lift() for lam in range(2, p - 1)]
+        with monkeypatch.context() as m:
+            m.setattr(padichg.hypergeo, "_teichmuller_lift", lift)
+            m.setattr(padichg.padic, "is_prime", no_test)
+            m.setattr(padichg.field, "is_prime", no_test)
+            lifts.clear()
+            got = [eval_family(ctx, tab, fam, lam).lift() for lam in range(2, p - 1)]
+        assert got == want
+        assert len(lifts) == (len(want) if fam == "2g2" else 0)
+
+
 def test_eval_family_dispatch(ctx_of, table_of):
     ctx, tab = ctx_of(7), table_of(7)
     assert eval_family(ctx, tab, "2g2", 3).lift() == -4
@@ -229,6 +261,15 @@ class TestFamilySweep:
         a = family_sweep(ctx, "2g2")
         assert family_sweep(ctx, "2g2") is a
         assert not a.flags.writeable
+
+    def test_every_sweep_int32_and_read_only(self, ctx_of):
+        for p, fams in ((13, ("2g2", "2g2t", "ap")), (11, ("6g6", "6g6t", "ap"))):
+            for fam in fams:
+                sweep = family_sweep(ctx_of(p), fam)
+                assert sweep.dtype == np.int32 and not sweep.flags.writeable, fam
+                with pytest.raises(ValueError):
+                    sweep[2] = 0
+        assert ctx_of(13).frobenius_sweep().dtype == np.int32
 
     def test_residue_class_gates(self, ctx_of):
         with pytest.raises(WrongResidueClassError):
@@ -277,9 +318,10 @@ class TestExactTransforms:
 
     def test_sweep_identity_past_plain_products(self, ctx_of):
         # p^4 > 2^63: the sweep multiplies residues mod p^2 through base-p
-        # digits, and each residue takes 4 limbs in the correlation
+        # digits, and each residue takes 3 limbs of 12 bits in the correlation
         p = 100003
         assert p % 6 == 1 and p**4 > 2**63 and (p * p - 1).bit_length() > 33
+        assert _limb_split(p - 1, p * p) == (3, 12)
         ctx = ctx_of(p)
         g = family_sweep(ctx, "2g2")
         ap = family_sweep(ctx, "ap")
@@ -308,6 +350,59 @@ class TestExactTransforms:
             for v in range(len(b) - len(a) + 1)
         ]
         assert correlate_mod(a, b, modulus).tolist() == want
+
+    @pytest.mark.parametrize(
+        "modulus, limbs",
+        # each side of every limb-count change: bits 20 (1 -> 2), the anchor
+        # primes' 27 and 30 bits (2 -> 3), 32 and 34 bits (2 -> 3), and
+        # 40 bits at p = 10^6 (2 -> 3 -> 4)
+        [
+            (1021**2, 1),
+            (10007**2, 2),
+            (30011**2, 2),
+            (54983**2, 2),
+            (100003**2, 2),
+            (1000003**2, 2),
+            (1000003**2, 3),
+        ],
+    )
+    def test_correlate_mod_across_limb_counts(self, modulus, limbs):
+        bits = (modulus - 1).bit_length()
+        width = -(-bits // limbs)
+        # the worst-case peak stays below 2^46, as for 11-bit limbs at p < 2^22
+        edge = (2**46 - 1) // (limbs * ((1 << width) - 1) ** 2)
+        rng = np.random.default_rng(edge)
+        for length, want_limbs in ((edge, limbs), (edge + 1, limbs + 1)):
+            n, b = _limb_split(length, modulus)
+            assert (n, b) == (want_limbs, -(-bits // n))
+            assert n <= -(-bits // LIMB_BITS)
+            a = rng.integers(0, modulus, length)
+            a[:2] = modulus - 1  # every limb full: the largest products
+            c = rng.integers(0, modulus, length + 2)
+            c[:4] = modulus - 1
+            al, cl = a.tolist(), c.tolist()
+            want = [
+                sum(x * y for x, y in zip(al, cl[v:])) % modulus for v in range(3)
+            ]
+            assert correlate_mod(a, c, modulus).tolist() == want, length
+
+    def test_limb_split_limits(self):
+        # 11-bit limbs bound the count; a short correlation of wide
+        # residues takes 3 limbs, not 2 x 22 bits that Horner's rule
+        # would shift past int64
+        for p in (5, 101, 10007, 30011, 100003, 1000003, 4194301):
+            bits = (p * p - 1).bit_length()
+            for length in (1, 2, 100, p - 1):
+                n, b = _limb_split(length, p * p)
+                assert n <= -(-bits // LIMB_BITS) and n * b >= bits
+        assert _limb_split(10006, 10007**2) == (2, 14)
+        assert _limb_split(30010, 30011**2) == (2, 15)
+        assert _limb_split(1000002, 1000003**2) == (4, 10)
+        modulus = 4194301**2
+        assert _limb_split(1, modulus) == (3, 15)
+        a = np.array([modulus - 1])
+        c = np.array([modulus - 1, modulus - 2, 1])
+        assert correlate_mod(a, c, modulus).tolist() == [1, 2, modulus - 1]
 
     def test_rounding_guard(self):
         # products past 2^53: the float correlation no longer holds integers

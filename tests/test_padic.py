@@ -113,8 +113,11 @@ class TestTeichmuller:
                 assert pow(w, p - 1, pn) == 1
 
     def test_errors(self):
-        with pytest.raises(NotPrimeError):
-            teichmuller(8, 2, 2)
+        # 561 is a Carmichael number and 10007^2 a prime square: the
+        # public lift checks primality before it lifts
+        for n in (8, 561, 10007**2):
+            with pytest.raises(NotPrimeError):
+                teichmuller(n, 2, 2)
         with pytest.raises(PrimeTooSmallError):
             teichmuller(3, 2, 2)
         with pytest.raises(BadPrecisionError):
