@@ -43,12 +43,8 @@ from .hypergeo import (
 )
 from .padic import (
     GammaTable,
-    ResidueMod,
     build_gamma_table,
-    floor_bracket,
     frac_bracket,
-    gamma_p,
-    gamma_p_integer,
     gamma_shift_check,
     product_formula_check,
     reflection_check,
@@ -87,7 +83,6 @@ __all__ = [
     "PrecisionExhaustedError",
     "PrimeContext",
     "PrimeTooSmallError",
-    "ResidueMod",
     "SingularLambdaError",
     "WrongResidueClassError",
     "build_gamma_table",
@@ -97,10 +92,7 @@ __all__ = [
     "eval_family",
     "eval_gn",
     "family_sweep",
-    "floor_bracket",
     "frac_bracket",
-    "gamma_p",
-    "gamma_p_integer",
     "gamma_shift_check",
     "is_prime",
     "ks_statistic",

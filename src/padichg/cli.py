@@ -72,9 +72,9 @@ def _emit_rows(
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    ctx = make_prime_ctx(args.prime, args.precision)
+    ctx = make_prime_ctx(args.prime)
     require_integral(args.function, ctx.p)
-    table = build_gamma_table(ctx)
+    table = build_gamma_table(ctx, args.precision)
     value = lift_signed(eval_family(ctx, table, args.function, args.lam))
     normalized = value / math.sqrt(ctx.p)
     if args.format == "json":
@@ -227,6 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--precision",
         type=int,
+        choices=(2, 3),
         default=3,
         help="working p-adic precision (digits of p, 2 or 3; default 3)",
     )
@@ -275,10 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except PadicHGError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (PadicHGError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

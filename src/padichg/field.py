@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BadPrecisionError,
     NoOrderFourCharacterError,
     NotPrimeError,
     PrecisionExhaustedError,
@@ -195,9 +194,6 @@ class CyclotomicInt4:
     re: int
     im: int
 
-    def conjugate(self) -> "CyclotomicInt4":
-        return CyclotomicInt4(self.re, -self.im)
-
     def norm(self) -> int:
         return self.re * self.re + self.im * self.im
 
@@ -207,7 +203,6 @@ class PrimeContext:
 
     Attributes:
         p: the prime.
-        precision: working p-adic precision (digits of p; 2 or 3).
         g: the smallest primitive root mod p.
         pow_g: pow_g[k] = g**k mod p for 0 <= k < p - 1.
         dlog: dlog[x] = k with g**k = x mod p; dlog[0] = -1 as a sentinel.
@@ -219,17 +214,12 @@ class PrimeContext:
             p^n by n.  The coefficient array itself is not kept.
     """
 
-    def __init__(self, p: int, precision: int = 3):
+    def __init__(self, p: int):
         if not isinstance(p, int) or not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
         if p < 5:
             raise PrimeTooSmallError(f"p = {p} < 5 is not supported")
-        if not isinstance(precision, int) or not 2 <= precision <= 3:
-            raise BadPrecisionError(
-                f"working precision {precision} must be 2 or 3"
-            )
         self.p = p
-        self.precision = precision
         self.g = _primitive_root(p)
         pow_g = powers_mod(self.g, p - 1, p, 1)
         dlog = np.empty(p, dtype=np.int64)
@@ -338,6 +328,6 @@ class PrimeContext:
         return complex((chi * zeta).sum())
 
 
-def make_prime_ctx(p: int, precision: int = 3) -> PrimeContext:
+def make_prime_ctx(p: int) -> PrimeContext:
     """Validate p and build the table context (alias for PrimeContext)."""
-    return PrimeContext(p, precision)
+    return PrimeContext(p)

@@ -91,7 +91,7 @@ from .errors import (
     WrongResidueClassError,
 )
 from .field import PrimeContext, digit_dot, digits, exact_rint, mulmod, powers_mod
-from .padic import GammaTable, ResidueMod, _teichmuller_lift, frac_bracket
+from .padic import GammaTable, _teichmuller_lift, frac_bracket
 
 G2_UPPER = (Fraction(2, 3), Fraction(2, 3))
 G2_LOWER = (Fraction(5, 12), Fraction(11, 12))
@@ -118,13 +118,15 @@ _COEFF_BLOCK = 4096
 
 @dataclass(frozen=True)
 class GnValue:
-    """A hypergeometric value: a residue plus an optional archimedean bound.
+    """A hypergeometric value: its residue in [0, modulus), the modulus
+    p^n, and an optional archimedean bound.
 
     claimed_bound is floor(2*sqrt(p)) when an integrality theorem pins the
     value as a rational integer in [-2*sqrt(p), 2*sqrt(p)], else None.
     """
 
-    residue: ResidueMod
+    residue: int
+    modulus: int
     claimed_bound: int | None
 
     def lift(self) -> int:
@@ -168,18 +170,17 @@ def lift_signed(v: GnValue) -> int:
         raise NoRepresentativeError(
             "value carries no integrality bound; cannot lift to an integer"
         )
-    r = v.residue
-    if r.modulus <= 2 * v.claimed_bound + 1:
+    r, pn = v.residue, v.modulus
+    if pn <= 2 * v.claimed_bound + 1:
         raise PrecisionExhaustedError(
-            f"modulus {r.modulus} cannot separate |x| <= {v.claimed_bound}"
+            f"modulus {pn} cannot separate |x| <= {v.claimed_bound}"
         )
-    if r.value <= v.claimed_bound:
-        return r.value
-    if r.modulus - r.value <= v.claimed_bound:
-        return r.value - r.modulus
+    if r <= v.claimed_bound:
+        return r
+    if pn - r <= v.claimed_bound:
+        return r - pn
     raise NoRepresentativeError(
-        f"no integer of absolute value <= {v.claimed_bound} is "
-        f"{r.value} mod {r.modulus}"
+        f"no integer of absolute value <= {v.claimed_bound} is {r} mod {pn}"
     )
 
 
@@ -287,8 +288,8 @@ def eval_gn(
     lower: tuple[Fraction, ...],
     t: int,
     p_shift: int = 0,
-) -> ResidueMod:
-    """p^p_shift * nGn[upper; lower | t] mod p^n, exactly.
+) -> int:
+    """p^p_shift * nGn[upper; lower | t] mod p^n, exactly, in [0, p^n).
 
     At t = 0 every summand vanishes (chi(0) := 0 for all characters,
     the trivial one included), so the value is 0.  table must be for
@@ -298,7 +299,7 @@ def eval_gn(
     p, n = table.p, table.n
     t %= p
     if t == 0:
-        return ResidueMod(0, p, n)
+        return 0
     rows = (tuple(upper), tuple(lower), p_shift)
     s = _digit_rows(ctx, (*rows, n), n, lambda: _coefficients(table, *rows))
     zeta = _digit_rows(
@@ -309,7 +310,7 @@ def eval_gn(
     e = -int(ctx.dlog[t]) % (p - 1)
     x = e * np.arange(p - 1, dtype=np.int64)
     x -= x // (p - 1) * (p - 1)
-    return ResidueMod(digit_dot(s, zeta.take(x, axis=1), p), p, n)
+    return digit_dot(s, zeta.take(x, axis=1), p)
 
 
 def _lookup(family: str) -> _Family:
@@ -354,18 +355,18 @@ def eval_family(
         _check_class(fam, p)
     lam %= p
     if lam == p - 1 and family.endswith("t"):
-        return GnValue(ResidueMod(-ctx.correction_term(), p, n), math.isqrt(4 * p))
+        return GnValue(-ctx.correction_term() % pn, pn, math.isqrt(4 * p))
     bound = math.isqrt(4 * p) if fam.integral_at(p) else None
     if lam == 0 or lam == p - 1:
-        return GnValue(ResidueMod(0, p, n), bound)
+        return GnValue(0, pn, bound)
     k, a, b = fam.t_coeffs
     t = k * pow(lam, a, p) * pow(1 + lam, b, p) % p
-    val = eval_gn(ctx, table, fam.upper, fam.lower, t, fam.p_shift).value
+    val = eval_gn(ctx, table, fam.upper, fam.lower, t, fam.p_shift)
     if rot:
         val = val * pow(_teichmuller_lift(p, t, n), -int(rot), pn) % pn
     if ctx.legendre_symbol(fam.sign * (1 + lam)) < 0:
-        val = -val
-    return GnValue(ResidueMod(val, p, n), bound)
+        val = -val % pn
+    return GnValue(val, pn, bound)
 
 
 # the limb split of correlate_mod: no more limbs than 11-bit ones need,

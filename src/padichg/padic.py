@@ -1,6 +1,6 @@
 """Truncated p-adic arithmetic and the Morita p-adic gamma function.
 
-Working precision is a modulus p^n: a ResidueMod is an element of Z/p^n
+Working precision is a modulus p^n: a residue is an int in [0, p^n)
 standing for a p-adic integer known to n digits.  GammaTable evaluates
 Gamma_p at any p-adic integer argument mod p^n in O(1) after an O(p)
 precompute, for n <= 3, the largest precision it supports.  Its one
@@ -45,108 +45,9 @@ from .errors import (
 from .field import PrimeContext, cumprod_mod, is_prime, mulmod, powers_mod
 
 
-class ResidueMod:
-    """An element of Z/p^n: a p-adic integer truncated to n digits."""
-
-    __slots__ = ("value", "p", "n", "modulus")
-
-    def __init__(self, value: int, p: int, n: int):
-        if n < 1:
-            raise BadPrecisionError(f"precision n = {n} must be >= 1")
-        self.p = p
-        self.n = n
-        self.modulus = p**n
-        self.value = value % self.modulus
-
-    def _coerce(self, other) -> "ResidueMod":
-        if isinstance(other, ResidueMod):
-            if other.p != self.p or other.n != self.n:
-                raise ValueError("mixed moduli")
-            return other
-        if isinstance(other, int):
-            return ResidueMod(other, self.p, self.n)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ResidueMod(self.value + o.value, self.p, self.n)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ResidueMod(self.value - o.value, self.p, self.n)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ResidueMod(o.value - self.value, self.p, self.n)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return ResidueMod(self.value * o.value, self.p, self.n)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ResidueMod(-self.value, self.p, self.n)
-
-    def __pow__(self, e: int):
-        return ResidueMod(pow(self.value, e, self.modulus), self.p, self.n)
-
-    def inverse(self) -> "ResidueMod":
-        if self.value % self.p == 0:
-            raise ZeroDivisionError("not a unit mod p")
-        return ResidueMod(pow(self.value, -1, self.modulus), self.p, self.n)
-
-    def is_unit(self) -> bool:
-        return self.value % self.p != 0
-
-    def reduce(self, n: int) -> "ResidueMod":
-        """Drop to a coarser precision n <= self.n."""
-        if n > self.n:
-            raise BadPrecisionError("cannot refine a truncated value")
-        return ResidueMod(self.value, self.p, n)
-
-    def lift_centered(self) -> int:
-        """The representative in (-p^n/2, p^n/2]."""
-        if self.value * 2 > self.modulus:
-            return self.value - self.modulus
-        return self.value
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ResidueMod):
-            return (
-                self.p == other.p
-                and self.n == other.n
-                and self.value == other.value
-            )
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p, self.n))
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.p}^{self.n})"
-
-
 def frac_bracket(x: Fraction) -> Fraction:
     """Fractional part <x> = x - floor(x), in [0, 1)."""
     return x - math.floor(x)
-
-
-def floor_bracket(x: Fraction | int) -> int:
-    """Greatest integer <= x."""
-    return math.floor(x)
 
 
 def teichmuller(p: int, t: int, n: int) -> int:
@@ -195,7 +96,7 @@ class GammaTable:
         "_w_hi",
     )
 
-    def __init__(self, ctx: PrimeContext, n: int = 2):
+    def __init__(self, ctx: PrimeContext, n: int):
         if not isinstance(n, int) or not 1 <= n <= 3:
             raise BadPrecisionError(f"precision n = {n} must be 1, 2 or 3")
         p = self.p = ctx.p
@@ -268,10 +169,6 @@ class GammaTable:
         """Gamma_p(x) mod p^n for a rational p-adic integer x."""
         return self.gamma_residue(self.fraction_residue(x))
 
-    def entry(self, k: int) -> int:
-        """Gamma_p(<k/(p-1)>) mod p^n, the k-th canonical table argument."""
-        return self.gamma_fraction(frac_bracket(Fraction(k, self.p - 1)))
-
     def entries(self) -> list[int]:
         """All p-1 canonical values Gamma_p(k/(p-1)), k = 0 .. p-2."""
         k = np.arange(self.p - 1, dtype=np.int64)
@@ -279,28 +176,9 @@ class GammaTable:
         return self.gamma_residue(mulmod(k, inv, self.p, self.n)).tolist()
 
 
-def build_gamma_table(ctx: PrimeContext, n: int | None = None) -> GammaTable:
-    """Precompute Gamma_p evaluation tables at precision p^n.
-
-    n defaults to the context's working precision.
-    """
-    return GammaTable(ctx, ctx.precision if n is None else n)
-
-
-def gamma_p(table: GammaTable, x: Fraction | int) -> ResidueMod:
-    """Gamma_p(x) as a ResidueMod, for a rational p-adic integer x."""
-    return ResidueMod(table.gamma_fraction(x), table.p, table.n)
-
-
-def gamma_p_integer(table: GammaTable, m: int) -> ResidueMod:
-    """Gamma_p at a nonnegative integer argument, mod p^n.
-
-    Gamma_p(0) = 1 and Gamma_p(m) = (-1)^m * prod of j < m prime to p;
-    reduction of m mod p^n is valid by 1-Lipschitz continuity.
-    """
-    if m < 0:
-        raise ValueError("integer gamma argument must be >= 0")
-    return ResidueMod(table.gamma_residue(m), table.p, table.n)
+def build_gamma_table(ctx: PrimeContext, n: int = 3) -> GammaTable:
+    """Precompute Gamma_p evaluation tables at precision p^n."""
+    return GammaTable(ctx, n)
 
 
 def _args(x) -> tuple[np.ndarray, bool]:

@@ -3,9 +3,9 @@
 Five named suites, each producing one aggregated CheckResult per
 mathematical statement:
 
-    identities  the hypergeometric-to-Frobenius identities, special
-                values at lambda = 1 and lambda = -1, and the
-                regularized value tilde(-1) = a_p(-1)
+    identities  the hypergeometric-to-Frobenius identities, the special
+                value 2G2(1) = phi(-2), and the regularized value
+                tilde(-1) = a_p(-1)
     gamma       reflection, the integer functional equation, Teichmuller
                 unit order, precision consistency, the multiplication
                 (product) formula, and the shift identity
@@ -29,11 +29,12 @@ the Hasse-bound scan at p <= 199 (the anchor checks cover large p).
 
 The gamma suite evaluates every Gamma_p identity on whole int64 arrays
 per prime (or per order m, t) through GammaTable.gamma_residue, the one
-evaluator that gamma_fraction, gamma_p, gamma_p_integer and the
-hypergeometric coefficients also call; each False entry becomes one
-failure string.  The special value 6G6(-1) = 0 at p = 1 (mod 3) is a
-structural zero that eval_family returns before it reads a table, so
-the identities suite does not re-check it there.
+evaluator that gamma_fraction and the hypergeometric coefficients
+also call; each False entry becomes one failure string.  The identities
+suite does not compare 2G2(-1) or 6G6(-1) with 0, nor a tilde sweep
+with its plain sweep away from -1: family_sweep writes those zeros, and
+builds a tilde sweep as a copy of the plain one with the entry at -1
+patched, so such comparisons cannot fail.
 """
 
 from __future__ import annotations
@@ -143,34 +144,20 @@ def _identities_worker(p: int) -> _Frag:
     ctx = make_prime_ctx(p)
     frag: _Frag = {}
     ap = family_sweep(ctx, "ap")
-    sp_fails: list[str] = []
-    if integral_family(p) == "2g2":
-        g = family_sweep(ctx, "2g2")
+    fam = integral_family(p)
+    g = family_sweep(ctx, fam)
+    if fam == "2g2":
         s = ctx.legendre_symbol(-2)
         fails = _twisted_trace_fails(p, "2G2", "phi(-2)", g, s, ap)
         frag["2g2-matches-phi(-2)-ap"] = (1, p - 3, fails)
-        if int(g[1]) != s:
-            sp_fails.append(f"p={p}: 2G2(1)={int(g[1])}, phi(-2)={s}")
-        if int(g[p - 1]) != 0:
-            sp_fails.append(f"p={p}: 2G2(-1)={int(g[p - 1])} != 0")
-        frag["special-values"] = (1, 2, sp_fails)
-        tl = family_sweep(ctx, "2g2t")
+        sp_fails = [] if int(g[1]) == s else [f"p={p}: 2G2(1)={int(g[1])}, phi(-2)={s}"]
+        frag["special-values"] = (1, 1, sp_fails)
     else:
-        g = family_sweep(ctx, "6g6")
         s = ctx.legendre_symbol(-1)
         fails = _twisted_trace_fails(p, "6G6", "phi(-1)", g, s, ap)
         frag["6g6-matches-phi(-1)-ap"] = (1, p - 3, fails)
-        if int(g[p - 1]) != 0:
-            sp_fails.append(f"p={p}: 6G6(-1)={int(g[p - 1])} != 0")
-        frag["special-values"] = (1, 1, sp_fails)
-        tl = family_sweep(ctx, "6g6t")
-    t_fails = []
-    if int(tl[p - 1]) != int(ap[p - 1]):
-        t_fails.append(
-            f"p={p}: tilde(-1)={int(tl[p - 1])}, a_p(-1)={int(ap[p - 1])}"
-        )
-    if not np.array_equal(tl[: p - 1], g[: p - 1]):
-        t_fails.append(f"p={p}: tilde differs from the plain family away from -1")
+    tl = int(family_sweep(ctx, fam + "t")[p - 1])
+    t_fails = [] if tl == int(ap[p - 1]) else [f"p={p}: tilde(-1)={tl}, a_p(-1)={int(ap[p - 1])}"]
     frag["tilde-at-minus-one"] = (1, 1, t_fails)
     return frag
 

@@ -10,8 +10,8 @@ from padichg import GammaTable, make_prime_ctx
 
 
 @lru_cache(maxsize=None)
-def cached_ctx(p: int, precision: int = 3):
-    return make_prime_ctx(p, precision)
+def cached_ctx(p: int):
+    return make_prime_ctx(p)
 
 
 @lru_cache(maxsize=None)

@@ -71,13 +71,22 @@ class TestEval:
         assert code == 2
         assert "p = 2 (mod 3)" in err
 
+    @staticmethod
+    def assert_precision_rejected(capsys, precision: str):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "eval", "--prime", "1009", "--function", "2g2",
+                "--lambda", "3", "--precision", precision,
+            ])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "invalid choice" in err
+
     def test_precision_above_three_rejected(self, capsys):
-        code, out, err = run_cli(
-            capsys, "eval", "--prime", "1009", "--function", "2g2",
-            "--lambda", "3", "--precision", "4",
-        )
-        assert (code, out) == (2, "")
-        assert "precision 4 must be 2 or 3" in err
+        self.assert_precision_rejected(capsys, "4")
+
+    def test_precision_below_two_rejected(self, capsys):
+        self.assert_precision_rejected(capsys, "1")
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(

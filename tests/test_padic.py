@@ -15,12 +15,8 @@ from padichg import (
     NotPrimeError,
     ParameterNotPadicError,
     PrimeTooSmallError,
-    ResidueMod,
     build_gamma_table,
-    floor_bracket,
     frac_bracket,
-    gamma_p,
-    gamma_p_integer,
     gamma_shift_check,
     product_formula_check,
     reflection_check,
@@ -43,53 +39,10 @@ from oracles import (
 ORDERS = (2, 3, 4, 6, 12)
 
 
-class TestResidueMod:
-    def test_ring_operations(self):
-        a = ResidueMod(20, 5, 3)
-        b = ResidueMod(110, 5, 3)
-        assert (a + b).value == 5
-        assert (a - b).value == (20 - 110) % 125
-        assert (a * b).value == 20 * 110 % 125
-        assert (-a).value == 105
-        assert (a**3).value == pow(20, 3, 125)
-        assert (1 + a).value == 21 and (1 - a).value == (1 - 20) % 125
-        assert 2 * a == ResidueMod(40, 5, 3)
-
-    def test_inverse_and_units(self):
-        a = ResidueMod(7, 5, 3)
-        assert a.is_unit()
-        assert (a * a.inverse()).value == 1
-        with pytest.raises(ZeroDivisionError):
-            ResidueMod(10, 5, 3).inverse()
-        assert not ResidueMod(10, 5, 3).is_unit()
-
-    def test_reduce_and_lift(self):
-        a = ResidueMod(123, 5, 3)
-        assert a.reduce(2) == ResidueMod(123 % 25, 5, 2)
-        with pytest.raises(BadPrecisionError):
-            a.reduce(4)
-        assert ResidueMod(124, 5, 3).lift_centered() == -1
-        assert ResidueMod(62, 5, 3).lift_centered() == 62
-        assert ResidueMod(63, 5, 3).lift_centered() == 63 - 125
-
-    def test_equality_and_mixing(self):
-        assert ResidueMod(3, 5, 2) == ResidueMod(28, 5, 2)
-        assert ResidueMod(3, 5, 2) == 28
-        assert ResidueMod(3, 5, 2) != ResidueMod(3, 5, 3)
-        assert hash(ResidueMod(3, 5, 2)) == hash(ResidueMod(28, 5, 2))
-        with pytest.raises(ValueError):
-            ResidueMod(1, 5, 2) + ResidueMod(1, 7, 2)
-        with pytest.raises(BadPrecisionError):
-            ResidueMod(1, 5, 0)
-
-
 def test_brackets():
     assert frac_bracket(Fraction(5, 12)) == Fraction(5, 12)
     assert frac_bracket(Fraction(-1, 3)) == Fraction(2, 3)
     assert frac_bracket(Fraction(7, 3)) == Fraction(1, 3)
-    assert floor_bracket(Fraction(-1, 3)) == -1
-    assert floor_bracket(Fraction(11, 12)) == 0
-    assert floor_bracket(2) == 2
 
 
 class TestTeichmuller:
@@ -127,11 +80,9 @@ class TestTeichmuller:
 class TestGammaTable:
     def test_integer_values(self, table_of):
         t = table_of(5)
-        assert gamma_p_integer(t, 3) == ResidueMod(-2, 5, 3)
-        assert gamma_p_integer(t, 0) == ResidueMod(1, 5, 3)
-        assert gamma_p_integer(t, 6) == ResidueMod(24, 5, 3)
-        with pytest.raises(ValueError):
-            gamma_p_integer(t, -1)
+        assert t.gamma_residue(3) == 125 - 2
+        assert t.gamma_residue(0) == 1
+        assert t.gamma_residue(6) == 24
 
     def test_residues_match_factorial_oracle(self, table_of):
         for p in (5, 7, 13):
@@ -148,9 +99,6 @@ class TestGammaTable:
                 for num in range(den):
                     x = Fraction(num, den)
                     assert t.gamma_fraction(x) == gamma_morita(p, 3, x)
-        assert gamma_p(table_of(7), Fraction(1, 2)) == ResidueMod(
-            gamma_morita(7, 3, Fraction(1, 2)), 7, 3
-        )
 
     def test_low_precision_and_naive_fallback(self, ctx_of):
         for n in (1, 2):
@@ -167,13 +115,14 @@ class TestGammaTable:
         assert len(ent) == 6
         assert ent[0] == 1
         for k in range(6):
-            assert t.entry(k) == gamma_morita(7, 3, Fraction(k, 6))
+            x = Fraction(k, 6)
+            assert t.gamma_fraction(x) == gamma_morita(7, 3, x)
 
     @pytest.mark.parametrize("p", [7, 1447, 1451])
     def test_entries_match_entry(self, ctx_of, p):
         for n in (1, 2, 3):
             t = GammaTable(ctx_of(p), n)
-            assert t.entries() == [t.entry(k) for k in range(p - 1)]
+            assert t.entries() == [t.gamma_fraction(Fraction(k, p - 1)) for k in range(p - 1)]
 
     @pytest.mark.parametrize("p", [5, 7, 1447, 1451, 10007, 55103, 55109])
     def test_tables_match_loop_recurrences(self, ctx_of, p):
@@ -195,7 +144,8 @@ class TestGammaTable:
     def test_precision_consistency(self, ctx_of, table_of):
         t3, t2 = table_of(13), GammaTable(ctx_of(13), 2)
         for k in range(12):
-            assert t3.entry(k) % 13**2 == t2.entry(k)
+            x = Fraction(k, 12)
+            assert t3.gamma_fraction(x) % 13**2 == t2.gamma_fraction(x)
 
     def test_rejects_non_padic_argument(self, ctx_of, table_of):
         with pytest.raises(ParameterNotPadicError):
@@ -206,7 +156,7 @@ class TestGammaTable:
 
 def test_build_gamma_table_default_precision(ctx_of):
     ctx = ctx_of(7)
-    assert build_gamma_table(ctx).n == ctx.precision
+    assert build_gamma_table(ctx).n == 3
     assert build_gamma_table(ctx, 2).n == 2
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from padichg import (
     GnValue,
-    ResidueMod,
     eval_family,
     family_sweep,
     lift_signed,
@@ -20,25 +19,6 @@ from oracles import companion_closed_form
 
 PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 primes = st.sampled_from(PRIMES)
-
-
-@settings(max_examples=60, deadline=None)
-@given(primes, st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6))
-def test_residue_ring_laws(p, a, b, c):
-    ra, rb, rc = (ResidueMod(x, p, 3) for x in (a, b, c))
-    assert (ra + rb) * rc == ra * rc + rb * rc
-    assert ra * rb == rb * ra
-    assert ra + (-ra) == 0
-    assert (ra - rb) + rb == ra
-
-
-@settings(max_examples=60, deadline=None)
-@given(primes, st.integers(0, 10**6))
-def test_lift_centered_window(p, a):
-    r = ResidueMod(a, p, 3)
-    v = r.lift_centered()
-    assert -r.modulus / 2 < v <= r.modulus / 2
-    assert v % r.modulus == r.value
 
 
 @settings(max_examples=60, deadline=None)
@@ -79,7 +59,7 @@ def test_gamma_reflection(p, r):
 def test_lift_signed_round_trip(p, data):
     bound = math.isqrt(4 * p)
     v = data.draw(st.integers(-bound, bound))
-    assert lift_signed(GnValue(ResidueMod(v, p, 3), bound)) == v
+    assert lift_signed(GnValue(v % p**3, p**3, bound)) == v
 
 
 @settings(max_examples=60, deadline=None)
