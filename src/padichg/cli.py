@@ -169,6 +169,8 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     if args.prime is not None:
+        if args.pmin is not None or args.pmax is not None:
+            raise PadicHGError("trace takes --prime or --pmin/--pmax, not both")
         primes = [args.prime]
     elif args.pmin is not None and args.pmax is not None:
         primes = primes_between(max(args.pmin, 5), args.pmax)

@@ -113,26 +113,17 @@ def cumprod_mod(x, modulus: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _power_row(x: int, k: int, modulus: int) -> list[int]:
-    """x^0, ..., x^(k-1) mod modulus, in one pass of Python ints."""
-    out, acc = [], 1
-    for _ in range(k):
-        out.append(acc)
-        acc = acc * x % modulus
-    return out
-
-
 def powers_mod(x: int, k: int, p: int, n: int) -> np.ndarray:
     """x^0, x^1, ..., x^(k-1) mod p^n, as an int64 array.
 
     With B = isqrt(k) + 1, x^(B i + j) = x^(B i) * x^j: two rows of
-    about sqrt(k) powers in Python ints, then one mulmod outer product.
+    about sqrt(k) powers by cumprod_mod, then one mulmod outer product.
     """
     pn = p**n
     x %= pn
     b = math.isqrt(k) + 1
-    lo = np.array(_power_row(x, b, pn), dtype=np.int64)
-    hi = np.array(_power_row(pow(x, b, pn), -(-k // b), pn), dtype=np.int64)
+    lo = cumprod_mod([1] + [x] * (b - 1), pn)
+    hi = cumprod_mod([1] + [pow(x, b, pn)] * (-(-k // b) - 1), pn)
     return mulmod(hi[:, None], lo[None, :], p, n).ravel()[:k]
 
 
@@ -215,7 +206,10 @@ class PrimeContext:
     """
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or not is_prime(p):
+        if not isinstance(p, int):
+            kind = f"{type(p).__module__}.{type(p).__qualname__}"
+            raise NotPrimeError(f"{p} ({kind}) is not an int")
+        if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
         if p < 5:
             raise PrimeTooSmallError(f"p = {p} < 5 is not supported")

@@ -86,12 +86,11 @@ import numpy as np
 
 from .errors import (
     NoRepresentativeError,
-    ParameterNotPadicError,
     PrecisionExhaustedError,
     WrongResidueClassError,
 )
 from .field import PrimeContext, digit_dot, digits, exact_rint, mulmod, powers_mod
-from .padic import GammaTable, _teichmuller_lift, frac_bracket
+from .padic import GammaTable, _gamma_product, _teichmuller_lift, frac_bracket
 
 G2_UPPER = (Fraction(2, 3), Fraction(2, 3))
 G2_LOWER = (Fraction(5, 12), Fraction(11, 12))
@@ -184,16 +183,6 @@ def lift_signed(v: GnValue) -> int:
     )
 
 
-def _validate_rows(upper, lower, p: int) -> None:
-    if len(upper) != len(lower) or not upper:
-        raise ValueError("upper and lower rows must have equal positive length")
-    for f in (*upper, *lower):
-        if f.denominator % p == 0:
-            raise ParameterNotPadicError(
-                f"parameter {f} is not a p-adic integer for p = {p}"
-            )
-
-
 def _coefficients(
     table: GammaTable,
     upper: tuple[Fraction, ...],
@@ -203,53 +192,40 @@ def _coefficients(
     """Per-j coefficients s_j mod p^n with everything except conj(omega)^j(t)
     folded in, so that nGn(t) = sum_j s_j * omega(t)^(-j): a read-only
     int64 array.  It is not cached: eval_gn keeps its digit rows and
-    family_sweep its result."""
-    p, pn = table.p, table.modulus
-    _validate_rows(upper, lower, p)
+    family_sweep its result.  A parameter that is not a p-adic integer
+    raises ParameterNotPadicError (from table.gamma_fraction)."""
+    p, pn, n = table.p, table.modulus, table.n
+    if len(upper) != len(lower) or not upper:
+        raise ValueError("upper and lower rows must have equal positive length")
     nlen = len(upper)
     p2 = p - 1
-    aa = [frac_bracket(f) for f in upper]
-    bb = [frac_bracket(-f) for f in lower]
-    denom = 1
-    for f in aa + bb:
-        denom = denom * table.gamma_fraction(f) % pn
+    # (f, sgn): the term's argument is <f + sgn j/(p-1)>
+    terms = [(frac_bracket(f), -1) for f in upper]
+    terms += [(frac_bracket(-f), 1) for f in lower]
+    denom = math.prod(table.gamma_fraction(f) for f, _ in terms) % pn
     pref = (pn - pow(p2, -1, pn)) * pow(denom, -1, pn) % pn
     # exponents never exceed nlen + p_shift; fold pref into the p-powers
     pw = [pow(p, e, pn) * pref % pn for e in range(nlen + max(p_shift, 0) + 1)]
-    # a-term: exponent +1 iff j*d > u*(p-1); argument (u*(p-1) - j*d) mod M
-    a_data = [
-        (f.denominator, f.numerator * p2, f.denominator * p2,
-         pow(f.denominator * p2, -1, pn))
-        for f in aa
-    ]
-    # b-term: exponent -1 iff j*d >= (d-u)*(p-1); argument (u*(p-1) + j*d) mod M
-    b_data = [
-        (f.denominator, (f.denominator - f.numerator) * p2,
-         f.numerator * p2, f.denominator * p2,
-         pow(f.denominator * p2, -1, pn))
-        for f in bb
-    ]
     pw = np.array(pw, dtype=np.int64)
-    n = table.n
-
-    def gamma_at(k: np.ndarray, minv: int) -> np.ndarray:
-        # Gamma_p(k / m) mod p^n for numerators k mod m
-        return table.gamma_residue(mulmod(k % pn, minv, p, n))
+    # over one denominator den = step (p-1), f + sgn j/(p-1) is
+    # num/den with num = f den + sgn step j; the term's (-p)-exponent is
+    # -floor(num/den) and its Gamma_p argument (num mod den)/den
+    step = math.lcm(*(f.denominator for f, _ in terms))
+    den = step * p2
+    rows = [(int(f * den), sgn * step) for f, sgn in terms]
 
     blocks = []
     # blocks of j keep the temporaries small next to the O(p) tables
     for lo in range(0, p2, _COEFF_BLOCK):
         j = np.arange(lo, min(lo + _COEFF_BLOCK, p2), dtype=np.int64)
         e = np.zeros(len(j), dtype=np.int64)
-        unit = np.ones(len(j), dtype=np.int64)
-        for d, up2, m, minv in a_data:
-            jd = j * d
-            e += jd > up2
-            unit = mulmod(unit, gamma_at((up2 - jd) % m, minv), p, n)
-        for d, thr, up2, m, minv in b_data:
-            jd = j * d
-            e -= jd >= thr
-            unit = mulmod(unit, gamma_at((up2 + jd) % m, minv), p, n)
+        nums = []
+        for c, s in rows:
+            num = c + s * j
+            q = num // den
+            e -= q
+            nums.append(num - q * den)
+        unit = _gamma_product(table, nums, den)
         es = e + p_shift
         if np.any(es < 0):
             i = int(np.flatnonzero(es < 0)[0])

@@ -26,6 +26,10 @@ through field.mulmod: a plain int64 product while p^(2n) < 2^63
 (p <= 1447 at n = 3, p <= 55103 at n = 2), a base-p digit product above.
 Every residue mod p^n must itself fit in int64, so precision 3 stops at
 p < 2^21; a GammaTable past that limit raises BadPrecisionError.
+
+_gamma_product, the product of Gamma_p at num/den, serves hypergeo's
+coefficients, entries() and the identity checks of verify's gamma
+suite, which take int64 arrays and return bool arrays.
 """
 
 from __future__ import annotations
@@ -156,9 +160,7 @@ class GammaTable:
         return val if np.ndim(r) else int(val)
 
     def fraction_residue(self, x: Fraction) -> int:
-        """The residue mod p^n of a rational that is a p-adic integer."""
-        if isinstance(x, int):
-            return x % self.modulus
+        """The residue mod p^n of a rational (or int) that is a p-adic integer."""
         if x.denominator % self.p == 0:
             raise ParameterNotPadicError(
                 f"{x} has denominator divisible by p = {self.p}"
@@ -172,18 +174,12 @@ class GammaTable:
     def entries(self) -> list[int]:
         """All p-1 canonical values Gamma_p(k/(p-1)), k = 0 .. p-2."""
         k = np.arange(self.p - 1, dtype=np.int64)
-        inv = pow(self.p - 1, -1, self.modulus)
-        return self.gamma_residue(mulmod(k, inv, self.p, self.n)).tolist()
+        return _gamma_product(self, (k,), self.p - 1).tolist()
 
 
 def build_gamma_table(ctx: PrimeContext, n: int = 3) -> GammaTable:
     """Precompute Gamma_p evaluation tables at precision p^n."""
     return GammaTable(ctx, n)
-
-
-def _args(x) -> tuple[np.ndarray, bool]:
-    """x as a 1-d int64 array, and whether it was a scalar."""
-    return np.atleast_1d(np.asarray(x, dtype=np.int64)), np.ndim(x) == 0
 
 
 def _gamma_product(table: GammaTable, nums, den: int) -> np.ndarray:
@@ -203,46 +199,40 @@ def _gamma_unit_fractions(table: GammaTable, m: int) -> int:
     return math.prod(vals.tolist()) % table.modulus
 
 
-def reflection_check(table: GammaTable, x):
-    """Gamma_p(x) * Gamma_p(1 - x) == (-1)^(digit of x in {1..p}).
-
-    x is a rational p-adic integer, an int, or an int64 array of residues
-    mod p^n; an array gives a bool array, one entry per residue.
+def reflection_check(table: GammaTable, x: np.ndarray) -> np.ndarray:
+    """Gamma_p(x) * Gamma_p(1 - x) == (-1)^(digit of x in {1..p}),
+    entrywise: x is an int64 array of residues mod p^n, and the result
+    a bool array.
     """
     p, pn = table.p, table.modulus
-    r, scalar = _args(
-        table.fraction_residue(x) if isinstance(x, Fraction) else x % pn
-    )
+    r = x % pn
     lhs = _gamma_product(table, (r, 1 - r), 1)
     # the digit of r in {1..p} is odd where r mod p is odd or 0 (digit p)
     x0 = r % p
-    ok = lhs == np.where((x0 % 2 == 1) | (x0 == 0), pn - 1, 1)
-    return bool(ok[0]) if scalar else ok
+    return lhs == np.where((x0 % 2 == 1) | (x0 == 0), pn - 1, 1)
 
 
-def product_formula_check(table: GammaTable, m: int, r):
+def product_formula_check(table: GammaTable, m: int, r: np.ndarray) -> np.ndarray:
     """Gauss multiplication formula for Gamma_p at x = r/(p-1).
 
     prod_{h=0}^{m-1} Gamma_p((x+h)/m)
         == omega(m)^r * Gamma_p(x) * prod_{h=1}^{m-1} Gamma_p(h/m),
-    where the character exponent r is (1-x)(1-p) reduced mod p-1.  r is
-    an int or an int64 array; an array gives a bool array.
+    where the character exponent r is (1-x)(1-p) reduced mod p-1, for
+    an int64 array r; the result is a bool array, one entry per r.
     """
     p, n, pn = table.p, table.n, table.modulus
     if m % p == 0:
         raise ArgumentNotRepresentableError(
             "multiplier m must be prime to p"
         )
-    r, scalar = _args(r)
     # (x + h)/m = (r + h(p-1)) / (m(p-1))
     lhs = _gamma_product(table, (r + h * (p - 1) for h in range(m)), m * (p - 1))
     rhs = powers_mod(teichmuller(p, m, n), p - 1, p, n)[r % (p - 1)]
     rhs = mulmod(rhs, _gamma_unit_fractions(table, m), p, n)
-    ok = lhs == mulmod(rhs, _gamma_product(table, (r,), p - 1), p, n)
-    return bool(ok[0]) if scalar else ok
+    return lhs == mulmod(rhs, _gamma_product(table, (r,), p - 1), p, n)
 
 
-def gamma_shift_check(table: GammaTable, t: int, j):
+def gamma_shift_check(table: GammaTable, t: int, j: np.ndarray) -> np.ndarray:
     """Both Gamma_p shift-product identities at x = j/(p-1).
 
     For p = 1 (mod t) and either sign s in {+1, -1}:
@@ -250,25 +240,13 @@ def gamma_shift_check(table: GammaTable, t: int, j):
         omega(t)^(s*t*j) * Gamma_p(<s*t*x>) * prod_{h=1}^{t-1} Gamma_p(h/t)
             == prod_{h=0}^{t-1} Gamma_p(<h/t + s*x>).
 
-    j is an int or an int64 array; an array gives a bool array.
-    Gamma_p is not periodic mod 1, so each <N/D> is taken as
-    (N - floor(N/D) D)/D, which is (N % D)/D on int64 arrays.
+    j is an int64 array, and the result a bool array, one entry per j.
+    Each sign is the multiplication formula with m = t at r = s t j
+    mod p-1: writing s t j = r + k(p-1), the arguments <h/t + s x> are
+    (r + ((h + k) mod t)(p-1)) / (t(p-1)), the same t values as
+    product_formula_check multiplies.  t divisible by p raises
+    ArgumentNotRepresentableError.
     """
-    p, n, pn = table.p, table.n, table.modulus
-    if t % p == 0:
-        raise ArgumentNotRepresentableError(
-            "shift order t must be prime to p"
-        )
-    j, scalar = _args(j)
-    base = _gamma_unit_fractions(table, t)
-    omega_pow = powers_mod(teichmuller(p, t, n), p - 1, p, n)
-    d = t * (p - 1)
-    ok = np.ones(j.shape, dtype=bool)
-    for s in (1, -1):
-        stj = s * t * j
-        e = stj % (p - 1)
-        lhs = mulmod(omega_pow[e], base, p, n)
-        lhs = mulmod(lhs, _gamma_product(table, (e,), p - 1), p, n)
-        # h/t + s x = (h(p-1) + s t j) / (t(p-1))
-        ok &= lhs == _gamma_product(table, ((h * (p - 1) + stj) % d for h in range(t)), d)
-    return bool(ok[0]) if scalar else ok
+    p = table.p
+    plus = product_formula_check(table, t, t * j % (p - 1))
+    return plus & product_formula_check(table, t, -t * j % (p - 1))

@@ -96,17 +96,18 @@ def moment_sum(ctx: PrimeContext, family: str, m: int) -> MomentReport:
     return MomentReport(ctx.p, family, m, total, normalized, expected)
 
 
-def semicircle_cdf(t: float) -> float:
-    """CDF of the semicircle law on [-2, 2]."""
-    if t <= -2.0:
-        return 0.0
-    if t >= 2.0:
-        return 1.0
-    return (
+def semicircle_cdf(t: float | np.ndarray) -> float | np.ndarray:
+    """CDF of the semicircle law on [-2, 2], 0 below and 1 above.
+
+    A float gives a float; a float array gives an array, entry by entry.
+    """
+    tc = np.clip(t, -2.0, 2.0)
+    f = (
         0.5
-        + t * math.sqrt(4.0 - t * t) / (4.0 * math.pi)
-        + math.asin(t / 2.0) / math.pi
+        + tc * np.sqrt(4.0 - tc * tc) / (4.0 * np.pi)
+        + np.arcsin(tc / 2.0) / np.pi
     )
+    return f if np.ndim(t) else float(f)
 
 
 def semicircle_density(t: float) -> float:
@@ -114,15 +115,6 @@ def semicircle_density(t: float) -> float:
     if abs(t) >= 2.0:
         return 0.0
     return math.sqrt(4.0 - t * t) / (2.0 * math.pi)
-
-
-def _semicircle_cdf_array(t: np.ndarray) -> np.ndarray:
-    tc = np.clip(t, -2.0, 2.0)
-    return (
-        0.5
-        + tc * np.sqrt(np.maximum(4.0 - tc * tc, 0.0)) / (4.0 * np.pi)
-        + np.arcsin(tc / 2.0) / np.pi
-    )
 
 
 def ks_statistic(atoms: np.ndarray, counts: np.ndarray) -> float:
@@ -137,7 +129,7 @@ def ks_statistic(atoms: np.ndarray, counts: np.ndarray) -> float:
     n = int(hi[-1]) if len(hi) else 0
     if n == 0:
         raise ValueError("empty sample")
-    f = _semicircle_cdf_array(np.asarray(atoms, dtype=np.float64))
+    f = semicircle_cdf(np.asarray(atoms, dtype=np.float64))
     return float(max((f - (hi - counts) / n).max(), (hi / n - f).max()))
 
 

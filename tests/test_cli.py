@@ -245,6 +245,17 @@ class TestTrace:
         assert [ln.split(",")[0] for ln in lines[1:]] == ["5", "7", "11", "13"]
         assert all(ln.endswith(",0") for ln in lines[1:])
 
+    @pytest.mark.parametrize(
+        "bounds", [("--pmin", "5", "--pmax", "30"), ("--pmin", "5"), ("--pmax", "30")]
+    )
+    def test_prime_with_range_is_refused(self, capsys, bounds):
+        code, out, err = run_cli(
+            capsys, "trace", "--prime", "13", *bounds, "--weight", "4", "--level", "4"
+        )
+        assert code == 2
+        assert out == ""
+        assert "not both" in err
+
     def test_needs_prime_or_range(self, capsys):
         code, _, err = run_cli(capsys, "trace", "--weight", "4", "--level", "4")
         assert code == 2
@@ -261,6 +272,37 @@ class TestVerify:
         lines = out.splitlines()
         assert all(ln.startswith("PASS") for ln in lines[:-1])
         assert lines[-1].endswith("(primes 5..60, suite identities)")
+
+    def test_all_suites_pinned(self, capsys):
+        # the case counts pin what each check covers, not only that it passed
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "all", "--pmin", "5", "--pmax", "200"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "PASS identities/2g2-matches-phi(-2)-ap: 1986 cases across 21 primes",
+            "PASS identities/6g6-matches-phi(-1)-ap: 2104 cases across 23 primes",
+            "PASS identities/special-values: 21 cases across 21 primes",
+            "PASS identities/tilde-at-minus-one: 44 cases across 44 primes",
+            "PASS gamma/reflection: 4178 cases across 44 primes",
+            "PASS gamma/functional-equation: 10080 cases across 44 primes",
+            "PASS gamma/teichmuller-order: 4178 cases across 44 primes",
+            "PASS gamma/precision-consistency: 4178 cases across 44 primes",
+            "PASS gamma/product-formula: 5275 cases across 23 primes",
+            "PASS gamma/shift-identity: 5160 cases across 23 primes",
+            "PASS gauss/orthogonality: 4178 cases across 44 primes",
+            "PASS gauss/gauss-modulus: 1032 cases across 23 primes",
+            "PASS gauss/jacobi-norm: 11 cases across 11 primes",
+            "PASS gauss/davenport-hasse: 504 cases across 11 primes",
+            "PASS moments/hasse-bound: 12666 cases across 44 primes",
+            "PASS moments/decomposition-identity: 66 cases across 11 primes",
+            "PASS traces/level4-weight4-zero: 44 cases across 44 primes",
+            "PASS traces/level4-weight6-eta: 44 cases across 44 primes",
+            "PASS traces/level8-weight4-eta: 44 cases across 44 primes",
+            "PASS traces/frobenius-backdoor: 132 cases across 44 primes",
+            "PASS traces/deligne-bound: 88 cases across 44 primes",
+            "# 21/21 checks passed (primes 5..200, suite all)",
+        ]
 
     def test_json_mode(self, capsys):
         code, out, _ = run_cli(

@@ -30,10 +30,16 @@ def test_is_prime_large_and_carmichael():
 
 
 def test_ctx_rejects_bad_input():
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(NotPrimeError, match="9 is not prime"):
         make_prime_ctx(9)
     with pytest.raises(PrimeTooSmallError):
         make_prime_ctx(3)
+    # a prime held in a numpy integer or a float is not an int: say so,
+    # rather than call it not prime
+    with pytest.raises(NotPrimeError, match=r"^7 \(numpy\.int64\) is not an int$"):
+        make_prime_ctx(np.int64(7))
+    with pytest.raises(NotPrimeError, match="is not an int"):
+        make_prime_ctx(7.0)
 
 
 def test_primitive_root_and_tables(ctx_of):

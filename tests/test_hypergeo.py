@@ -85,6 +85,20 @@ class TestDefinitionSum:
                 got = eval_gn(ctx, tab, G6_UPPER, G6_LOWER, t)
                 want = hypergeometric_sum(p, 3, G6_UPPER, G6_LOWER, t)
                 assert got == want, (p, t)
+        # rows beyond G2 and G6: repeated, zero and mixed-denominator parameters
+        half, third, zero = Fraction(1, 2), Fraction(1, 3), Fraction(0)
+        rows = [
+            ((half, half, half), (zero, zero, zero)),
+            ((Fraction(1, 4), Fraction(3, 4)), (zero, third)),
+            ((half, third), (Fraction(1, 4), Fraction(5, 6))),
+        ]
+        for p in (5, 7, 11, 13):
+            ctx, tab = ctx_of(p), table_of(p)
+            for upper, lower in rows:
+                for t in range(1, p):
+                    got = eval_gn(ctx, tab, upper, lower, t, p_shift=1)
+                    want = hypergeometric_sum(p, 3, upper, lower, t, 1)
+                    assert got == want, (p, upper, lower, t)
 
     def test_negative_valuation_needs_shift(self, ctx_of, table_of):
         with pytest.raises(PrecisionExhaustedError):

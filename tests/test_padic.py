@@ -160,28 +160,32 @@ def test_build_gamma_table_default_precision(ctx_of):
     assert build_gamma_table(ctx, 2).n == 2
 
 
+def ints(*xs):
+    return np.array(xs, dtype=np.int64)
+
+
 def test_reflection(table_of):
     for p in (7, 13):
         t = table_of(p)
-        for k in range(p - 1):
-            assert reflection_check(t, Fraction(k, p - 1))
-        assert reflection_check(t, 0)
+        x = [t.fraction_residue(Fraction(k, p - 1)) for k in range(p - 1)]
+        ok = reflection_check(t, ints(*x, 0))
+        assert ok.dtype == bool and ok.shape == (p,) and ok.all()
 
 
 def test_product_formula(table_of):
-    assert product_formula_check(table_of(13), 2, 10)  # x = 5/6
-    assert product_formula_check(table_of(7), 3, 0)
-    assert product_formula_check(table_of(11), 2, 1)
+    assert product_formula_check(table_of(13), 2, ints(10)).tolist() == [True]  # x = 5/6
+    assert product_formula_check(table_of(7), 3, ints(0)).tolist() == [True]
+    assert product_formula_check(table_of(11), 2, ints(1)).tolist() == [True]
     with pytest.raises(ArgumentNotRepresentableError):
-        product_formula_check(table_of(5), 10, 1)
+        product_formula_check(table_of(5), 10, ints(1))
 
 
 def test_shift_identity(table_of):
-    assert gamma_shift_check(table_of(13), 12, 1)
-    assert gamma_shift_check(table_of(7), 2, 0)
-    assert gamma_shift_check(table_of(11), 3, 5)
+    assert gamma_shift_check(table_of(13), 12, ints(1)).tolist() == [True]
+    assert gamma_shift_check(table_of(7), 2, ints(0)).tolist() == [True]
+    assert gamma_shift_check(table_of(11), 3, ints(5)).tolist() == [True]
     with pytest.raises(ArgumentNotRepresentableError):
-        gamma_shift_check(table_of(7), 7, 1)
+        gamma_shift_check(table_of(7), 7, ints(1))
 
 
 def _reflection_args(t: GammaTable) -> np.ndarray:

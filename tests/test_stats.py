@@ -14,7 +14,7 @@ from padichg import (
     semicircle_cdf,
     semicircle_density,
 )
-from padichg.stats import _semicircle_cdf_array, family_values, value_counts
+from padichg.stats import family_values, value_counts
 
 from oracles import (
     ap_point_count,
@@ -25,7 +25,7 @@ from oracles import (
 
 
 def semicircle_cdf_list(xs):
-    return _semicircle_cdf_array(np.array(xs, dtype=np.float64)).tolist()
+    return semicircle_cdf(np.array(xs, dtype=np.float64)).tolist()
 
 
 def test_catalan():
@@ -88,6 +88,13 @@ class TestSemicircle:
         assert semicircle_cdf(-2.0) == 0.0
         assert semicircle_cdf(2.0) == 1.0
         assert semicircle_cdf(-3.0) == 0.0 and semicircle_cdf(3.0) == 1.0
+
+    def test_cdf_float_and_array(self):
+        ts = [-3.0, -2.0, -1.7, -0.4, 0.0, 0.3, 1.1, 1.9, 2.0, 3.0]
+        assert all(type(semicircle_cdf(t)) is float for t in ts)
+        got = semicircle_cdf(np.array(ts))
+        assert isinstance(got, np.ndarray) and got.shape == (len(ts),)
+        assert got.tolist() == [semicircle_cdf(t) for t in ts]
 
     def test_cdf_against_quadrature(self):
         for t in (-1.7, -0.4, 0.3, 1.1, 1.9):
