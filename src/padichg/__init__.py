@@ -22,7 +22,6 @@ from .errors import (
     WrongResidueClassError,
 )
 from .field import (
-    CyclotomicInt4,
     PrimeContext,
     is_prime,
     make_prime_ctx,
@@ -45,7 +44,7 @@ from .padic import (
     GammaTable,
     build_gamma_table,
     frac_bracket,
-    gamma_shift_check,
+    jacobi_sum_check,
     product_formula_check,
     reflection_check,
     teichmuller,
@@ -69,7 +68,6 @@ __all__ = [
     "BadPrecisionError",
     "BadWeightError",
     "CheckResult",
-    "CyclotomicInt4",
     "DistributionReport",
     "GammaTable",
     "GnValue",
@@ -93,8 +91,8 @@ __all__ = [
     "eval_gn",
     "family_sweep",
     "frac_bracket",
-    "gamma_shift_check",
     "is_prime",
+    "jacobi_sum_check",
     "ks_statistic",
     "lift_signed",
     "make_prime_ctx",

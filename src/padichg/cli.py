@@ -174,6 +174,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         primes = [args.prime]
     elif args.pmin is not None and args.pmax is not None:
         primes = primes_between(max(args.pmin, 5), args.pmax)
+        if not primes:
+            raise PadicHGError(f"no prime >= 5 in [{args.pmin}, {args.pmax}]")
     else:
         raise PadicHGError("trace needs --prime, or both --pmin and --pmax")
     rows = []

@@ -11,7 +11,6 @@ modulo p - 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,17 +177,6 @@ def digit_dot(x: np.ndarray, y: np.ndarray, p: int) -> int:
     return total % p**n
 
 
-@dataclass(frozen=True)
-class CyclotomicInt4:
-    """An element re + im*i of Z[i], kept exact (never floated)."""
-
-    re: int
-    im: int
-
-    def norm(self) -> int:
-        return self.re * self.re + self.im * self.im
-
-
 class PrimeContext:
     """Tables and character arithmetic for one odd prime p >= 5.
 
@@ -234,17 +222,6 @@ class PrimeContext:
         """Quadratic character phi(x) in {-1, 0, 1}."""
         return int(self.legendre[x % self.p])
 
-    def char_exponent(self, k: int, x: int) -> int | None:
-        """Exponent e with omega^k(x) = zeta_(p-1)^e, or None when x = 0.
-
-        None marks the zero element, on which every multiplicative
-        character vanishes by the chi(0) := 0 convention.
-        """
-        x %= self.p
-        if x == 0:
-            return None
-        return k * int(self.dlog[x]) % (self.p - 1)
-
     def trace_frobenius(self, lam: int) -> int:
         """Frobenius trace a_p(lambda) of y^2 = x(x-1)(x-lambda).
 
@@ -279,8 +256,8 @@ class PrimeContext:
         out[:2] = 0
         return out.astype(np.int32)
 
-    def jacobi_sum_order4(self) -> CyclotomicInt4:
-        """Jacobi sum J(phi*chi4, conj(chi4)) in Z[i], for p = 1 (mod 4).
+    def jacobi_sum_order4(self) -> tuple[int, int]:
+        """(re, im) with J(phi*chi4, conj(chi4)) = re + im*i, for p = 1 (mod 4).
 
         chi4 = omega^((p-1)/4) has order 4; phi*chi4 = conj(chi4), so the
         sum is sum_{x != 0,1} conj(chi4)(x) * conj(chi4)(1-x), computed
@@ -294,7 +271,7 @@ class PrimeContext:
         x = np.arange(2, p, dtype=np.int64)
         e = (self.dlog[x] + self.dlog[(1 - x) % p]) % 4
         c = np.bincount(e, minlength=4)
-        return CyclotomicInt4(int(c[0] - c[2]), int(c[3] - c[1]))
+        return int(c[0] - c[2]), int(c[3] - c[1])
 
     def correction_term(self) -> int:
         """The integer subtracted at lambda = -1 to regularize the sweep.
@@ -307,7 +284,7 @@ class PrimeContext:
         if self.p % 4 != 1:
             return 0
         chi4_m1 = -1 if (self.p - 1) // 4 % 2 else 1
-        return 2 * chi4_m1 * self.jacobi_sum_order4().re
+        return 2 * chi4_m1 * self.jacobi_sum_order4()[0]
 
     def gauss_sum_float(self, k: int) -> complex:
         """Gauss sum g(omega^k) as a complex float.

@@ -29,7 +29,9 @@ p < 2^21; a GammaTable past that limit raises BadPrecisionError.
 
 _gamma_product, the product of Gamma_p at num/den, serves hypergeo's
 coefficients, entries() and the identity checks of verify's gamma
-suite, which take int64 arrays and return bool arrays.
+suite, which return bool arrays.  Of these, jacobi_sum_check ties the
+table to the context's characters: by Gross-Koblitz, a Jacobi sum of
+Teichmuller characters is a ratio of Gamma_p values.
 """
 
 from __future__ import annotations
@@ -232,21 +234,30 @@ def product_formula_check(table: GammaTable, m: int, r: np.ndarray) -> np.ndarra
     return lhs == mulmod(rhs, _gamma_product(table, (r,), p - 1), p, n)
 
 
-def gamma_shift_check(table: GammaTable, t: int, j: np.ndarray) -> np.ndarray:
-    """Both Gamma_p shift-product identities at x = j/(p-1).
+def jacobi_sum_check(ctx: PrimeContext, table: GammaTable) -> np.ndarray:
+    """Gross-Koblitz for Jacobi sums: for 0 < a, b < p-1 with
+    c = (a + b) mod (p-1) != 0, mod p^n,
 
-    For p = 1 (mod t) and either sign s in {+1, -1}:
+        sum_{x != 0, 1} omega(x)^(-a) * omega(1-x)^(-b)
+            == eps * Gamma_p(a/(p-1)) * Gamma_p(b/(p-1)) / Gamma_p(c/(p-1)),
 
-        omega(t)^(s*t*j) * Gamma_p(<s*t*x>) * prod_{h=1}^{t-1} Gamma_p(h/t)
-            == prod_{h=0}^{t-1} Gamma_p(<h/t + s*x>).
-
-    j is an int64 array, and the result a bool array, one entry per j.
-    Each sign is the multiplication formula with m = t at r = s t j
-    mod p-1: writing s t j = r + k(p-1), the arguments <h/t + s x> are
-    (r + ((h + k) mod t)(p-1)) / (t(p-1)), the same t values as
-    product_formula_check multiplies.  t divisible by p raises
-    ArgumentNotRepresentableError.
+    with eps = -1 if a + b < p-1, else p.  Returns the (p-1, p-1) bool
+    array ok[a, b], True off that range.  The left side reads ctx.g and
+    ctx.dlog, the right side the Gamma_p table.
     """
-    p = table.p
-    plus = product_formula_check(table, t, t * j % (p - 1))
-    return plus & product_formula_check(table, t, -t * j % (p - 1))
+    p, n, pn = table.p, table.n, table.modulus
+    # the left side is an int64 matmul over p-2 products of residues mod
+    # p^n, exact while (p-2) p^(2n) < 2^63, which holds for p < 500 at n = 3
+    if (p - 2) * pn * pn >= 2**63:
+        raise BadPrecisionError(f"p = {p} is too large for int64 Jacobi sums at precision {n}")
+    zeta = powers_mod(teichmuller(p, ctx.g, n), p - 1, p, n)
+    a = np.arange(p - 1, dtype=np.int64)[:, None]
+    s = a + a.T
+    # z[a, x - 2] = omega(x)^(-a), x = 2 .. p-1; 1 - x runs over them in reverse
+    z = zeta[-a * ctx.dlog[2:] % (p - 1)]
+    lhs = z @ z[:, ::-1].T % pn
+    gam = np.array(table.entries(), dtype=np.int64)
+    inv = np.array([pow(v, -1, pn) for v in gam.tolist()], dtype=np.int64)
+    rhs = mulmod(mulmod(gam[a], gam[a.T], p, n), inv[s % (p - 1)], p, n)
+    rhs = mulmod(rhs, np.where(s < p - 1, pn - 1, p), p, n)
+    return (lhs == rhs) | (a == 0) | (a.T == 0) | (s == p - 1)

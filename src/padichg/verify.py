@@ -8,10 +8,11 @@ mathematical statement:
                 tilde(-1) = a_p(-1)
     gamma       reflection, the integer functional equation, Teichmuller
                 unit order, precision consistency, the multiplication
-                (product) formula, and the shift identity
-    gauss       character orthogonality (exact, combinatorial), Gauss
-                sum modulus, Jacobi sum norm, and the Davenport-Hasse
-                relation for n = 2 (float, 1e-6 relative)
+                (product) formula, and Gross-Koblitz for Jacobi sums
+                (exact, mod p^3)
+    gauss       Gauss sum modulus, Jacobi sum norm, and the
+                Davenport-Hasse relation for n = 2 (float, 1e-6
+                relative)
     moments     the Hasse bound on every value, the exact moment
                 decomposition identity, and - when the range reaches the
                 anchor primes near 10^4 and 3*10^4 - moment thresholds
@@ -23,12 +24,12 @@ mathematical statement:
 Statements that are theorems for every prime run over the whole
 requested range [pmin, pmax].  Statements whose contract is an
 exhaustive bound run only inside that bound (noted per check): the
-multiplication/shift formulas and float Gauss checks at p <= 100,
-orthogonality at p <= 200, the decomposition identity at p <= 100, and
-the Hasse-bound scan at p <= 199 (the anchor checks cover large p).
+multiplication formula, Gross-Koblitz and the float Gauss checks at
+p <= 100, the decomposition identity at p <= 100, and the Hasse-bound
+scan at p <= 199 (the anchor checks cover large p).
 
 The gamma suite evaluates every Gamma_p identity on whole int64 arrays
-per prime (or per order m, t) through GammaTable.gamma_residue, the one
+per prime (or per order m) through GammaTable.gamma_residue, the one
 evaluator that gamma_fraction and the hypergeometric coefficients
 also call; each False entry becomes one failure string.  The identities
 suite does not compare 2G2(-1) or 6G6(-1) with 0, nor a tilde sweep
@@ -51,7 +52,7 @@ from .hecke import newform_coefficients, pk_sum, trace_level4, trace_level8
 from .hypergeo import family_sweep, integral_family
 from .padic import (
     build_gamma_table,
-    gamma_shift_check,
+    jacobi_sum_check,
     product_formula_check,
     reflection_check,
     teichmuller,
@@ -212,10 +213,9 @@ def _gamma_worker(p: int) -> _Frag:
             pf_fails += _fails(product_formula_check(t3, m, r), f"p={p} m={m} r=")
         frag["product-formula"] = (1, len(orders) * p, pf_fails)
 
-        sh_fails = []
-        for t in orders:
-            sh_fails += _fails(gamma_shift_check(t3, t, k), f"p={p} t={t} j=")
-        frag["shift-identity"] = (1, len(orders) * (p - 1), sh_fails)
+        bad = np.argwhere(~jacobi_sum_check(ctx, t3)).tolist()
+        gk_fails = [f"p={p} a={a} b={b}" for a, b in bad]
+        frag["gross-koblitz"] = (1, (p - 2) * (p - 3), gk_fails)
     return frag
 
 
@@ -225,31 +225,16 @@ _GAMMA_ORDER = (
     "teichmuller-order",
     "precision-consistency",
     "product-formula",
-    "shift-identity",
+    "gross-koblitz",
 )
 
 
 def _gauss_worker(p: int) -> _Frag:
     frag: _Frag = {}
-    if p > 200:
+    if p > 100:
         return frag
     ctx = make_prime_ctx(p)
     n1 = p - 1
-    m = np.arange(n1, dtype=np.int64)
-    orth_fails = []
-    for d in range(1, n1):
-        g = math.gcd(d, n1)
-        counts = np.bincount(d * m % n1, minlength=n1)
-        want = np.where(m % g == 0, g, 0)
-        if not np.array_equal(counts, want):
-            orth_fails.append(f"p={p} d={d}")
-    # trivial character: total mass p-1 under the chi(0) := 0 convention
-    if sum(1 for x in range(p) if ctx.char_exponent(0, x) is not None) != n1:
-        orth_fails.append(f"p={p}: trivial character mass != p-1")
-    frag["orthogonality"] = (1, n1, orth_fails)
-
-    if p > 100:
-        return frag
     gs = [ctx.gauss_sum_float(k) for k in range(n1)]
     mod_fails = []
     for k in range(1, n1):
@@ -260,8 +245,9 @@ def _gauss_worker(p: int) -> _Frag:
     frag["gauss-modulus"] = (1, n1, mod_fails)
 
     if p % 4 == 1:
-        jsum = ctx.jacobi_sum_order4()
-        jn_fails = [] if jsum.norm() == p else [f"p={p}: norm={jsum.norm()}"]
+        re, im = ctx.jacobi_sum_order4()
+        norm = re * re + im * im
+        jn_fails = [] if norm == p else [f"p={p}: norm={norm}"]
         frag["jacobi-norm"] = (1, 1, jn_fails)
 
         half = n1 // 2
@@ -277,7 +263,7 @@ def _gauss_worker(p: int) -> _Frag:
     return frag
 
 
-_GAUSS_ORDER = ("orthogonality", "gauss-modulus", "jacobi-norm", "davenport-hasse")
+_GAUSS_ORDER = ("gauss-modulus", "jacobi-norm", "davenport-hasse")
 
 
 def _moments_worker(p: int) -> _Frag:

@@ -161,6 +161,9 @@ def teichmuller_limit(p: int, t: int, n: int) -> int:
         a = b
 
 
+_omega = lru_cache(maxsize=None)(teichmuller_limit)
+
+
 # The Gamma_p identity checks, one argument at a time in Python ints.
 # gamma(x) is Gamma_p(x) mod p^n for a rational p-adic integer or an int
 # (default: gamma_block).
@@ -195,32 +198,24 @@ def product_formula_reference(
     return lhs == rhs
 
 
-def shift_identity_reference(
-    p: int, n: int, t: int, j: int, gamma: Callable | None = None
+def jacobi_sum_reference(
+    p: int, n: int, a: int, b: int, gamma: Callable | None = None
 ) -> bool:
-    """omega(t)^(s t j) Gamma_p(<s t x>) prod_{h>0} Gamma_p(h/t)
-    == prod_h Gamma_p(<h/t + s x>) at x = j/(p-1), for s = +1 and -1."""
+    """Gross-Koblitz for the Jacobi sum of omega^(-a), omega^(-b):
+    sum_{x != 0,1} omega(x)^(-a) omega(1-x)^(-b)
+    == eps Gamma_p(a/(p-1)) Gamma_p(b/(p-1)) / Gamma_p(c/(p-1)),
+    c = (a + b) mod (p-1), eps = -1 if a + b < p-1 else p."""
     gamma = gamma or partial(gamma_block, p, n)
     pn = p**n
-
-    def bracket(y: Fraction) -> Fraction:
-        return y - math.floor(y)
-
-    x = Fraction(j, p - 1)
-    base = 1
-    for h in range(1, t):
-        base = base * gamma(Fraction(h, t)) % pn
-    omega_t = teichmuller_limit(p, t, n)
-    for s in (1, -1):
-        lhs = pow(omega_t, (s * t * j) % (p - 1), pn)
-        lhs = lhs * gamma(bracket(s * t * x)) % pn
-        lhs = lhs * base % pn
-        rhs = 1
-        for h in range(t):
-            rhs = rhs * gamma(bracket(Fraction(h, t) + s * x)) % pn
-        if lhs != rhs:
-            return False
-    return True
+    lhs = 0
+    for x in range(2, p):
+        wx, wy = _omega(p, x, n), _omega(p, 1 - x, n)
+        lhs += pow(wx, -a % (p - 1), pn) * pow(wy, -b % (p - 1), pn)
+    c = (a + b) % (p - 1)
+    rhs = -1 if a + b < p - 1 else p
+    rhs = rhs * gamma(Fraction(a, p - 1)) * gamma(Fraction(b, p - 1))
+    rhs = rhs * pow(gamma(Fraction(c, p - 1)), -1, pn)
+    return lhs % pn == rhs % pn
 
 
 def hypergeometric_coefficients(

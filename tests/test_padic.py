@@ -14,10 +14,11 @@ from padichg import (
     GammaTable,
     NotPrimeError,
     ParameterNotPadicError,
+    PrimeContext,
     PrimeTooSmallError,
     build_gamma_table,
     frac_bracket,
-    gamma_shift_check,
+    jacobi_sum_check,
     product_formula_check,
     reflection_check,
     teichmuller,
@@ -30,9 +31,9 @@ from oracles import (
     gamma_block,
     gamma_morita,
     gamma_tables_loop,
+    jacobi_sum_reference,
     product_formula_reference,
     reflection_reference,
-    shift_identity_reference,
     teichmuller_limit,
 )
 
@@ -180,22 +181,23 @@ def test_product_formula(table_of):
         product_formula_check(table_of(5), 10, ints(1))
 
 
-def test_shift_identity(table_of):
-    assert gamma_shift_check(table_of(13), 12, ints(1)).tolist() == [True]
-    assert gamma_shift_check(table_of(7), 2, ints(0)).tolist() == [True]
-    assert gamma_shift_check(table_of(11), 3, ints(5)).tolist() == [True]
-    with pytest.raises(ArgumentNotRepresentableError):
-        gamma_shift_check(table_of(7), 7, ints(1))
-
-
 def _reflection_args(t: GammaTable) -> np.ndarray:
     # the residues of k/(p-1) mod p^n, k = 0 .. p-2, as the gamma suite takes them
     k = np.arange(t.p - 1, dtype=np.int64)
     return mulmod(k, pow(t.p - 1, -1, t.modulus), t.p, t.n)
 
 
+def _jacobi_reference_grid(p, gamma=None):
+    # jacobi_sum_reference at 0 < a, b < p-1 with a + b != p-1; True elsewhere
+    return [
+        [not (a and b and (a + b) % (p - 1)) or jacobi_sum_reference(p, 3, a, b, gamma)
+         for b in range(p - 1)]
+        for a in range(p - 1)
+    ]
+
+
 @pytest.mark.parametrize("p", [5, 7, 13, 97])
-def test_array_checks_match_scalar_reference(table_of, p):
+def test_array_checks_match_scalar_reference(ctx_of, table_of, p):
     t = table_of(p)
     ok = reflection_check(t, _reflection_args(t))
     assert ok.dtype == bool
@@ -205,8 +207,9 @@ def test_array_checks_match_scalar_reference(table_of, p):
     for m in ORDERS:
         got = product_formula_check(t, m, np.arange(p, dtype=np.int64))
         assert got.tolist() == [product_formula_reference(p, 3, m, x) for x in range(p)]
-        got = gamma_shift_check(t, m, np.arange(p - 1, dtype=np.int64))
-        assert got.tolist() == [shift_identity_reference(p, 3, m, j) for j in range(p - 1)]
+    ok = jacobi_sum_check(ctx_of(p), t)
+    assert ok.dtype == bool and ok.shape == (p - 1, p - 1)
+    assert ok.tolist() == _jacobi_reference_grid(p)
 
 
 @pytest.mark.parametrize("p", [1447, 1451])
@@ -238,8 +241,9 @@ def test_corrupted_table_is_flagged(ctx_of, monkeypatch):
     for m in ORDERS:
         got = product_formula_check(bad, m, np.arange(p, dtype=np.int64))
         assert got.tolist() == [product_formula_reference(p, 3, m, x, gamma) for x in range(p)]
-        got = gamma_shift_check(bad, m, np.arange(p - 1, dtype=np.int64))
-        assert got.tolist() == [shift_identity_reference(p, 3, m, j, gamma) for j in range(p - 1)]
+    assert jacobi_sum_check(ctx_of(p), good).all()
+    gk = jacobi_sum_check(ctx_of(p), bad)
+    assert gk.tolist() == _jacobi_reference_grid(p, gamma)
 
     monkeypatch.setattr(
         verify, "build_gamma_table", lambda ctx, n: bad if n == 3 else GammaTable(ctx, n)
@@ -251,10 +255,34 @@ def test_corrupted_table_is_flagged(ctx_of, monkeypatch):
     # functional equation at m and at m - 1; the suite takes m = 1 .. p^2 - 1
     fe = frag["functional-equation"]
     assert fe[2] == [f"p={p} n={m}" for m in range(1, p * p) if m % p in (i, i + 1)]
-    for name in ("product-formula", "shift-identity"):
-        assert frag[name][2]
+    assert frag["product-formula"][2]
+    bad_pairs = np.argwhere(~gk).tolist()
+    assert bad_pairs and frag["gross-koblitz"][2] == [f"p={p} a={a} b={b}" for a, b in bad_pairs]
     failed = {res.name for res in verify.run_suite("gamma", p, p) if not res.ok}
-    assert {"reflection", "functional-equation", "product-formula", "shift-identity"} <= failed
+    assert {"reflection", "functional-equation", "product-formula", "gross-koblitz"} <= failed
+
+
+def test_swapped_dlog_is_flagged(ctx_of, table_of, monkeypatch):
+    # dlog[2] and dlog[3] swapped: the Jacobi sums read a wrong character
+    p = 13
+    bad = PrimeContext(p)
+    bad.dlog = bad.dlog.copy()
+    bad.dlog[[2, 3]] = bad.dlog[[3, 2]]
+    # with the true Gamma_p table only the left side is wrong
+    assert jacobi_sum_check(ctx_of(p), table_of(p)).all()
+    assert (~jacobi_sum_check(bad, table_of(p))).sum() == 104  # of 110 pairs
+    monkeypatch.setattr(verify, "make_prime_ctx", lambda q: bad)
+    (gk,) = [res for res in verify.run_suite("gamma", p, p) if res.name == "gross-koblitz"]
+    assert not gk.ok
+    # the context's dlog also feeds the table's inverses 1/c mod p
+    assert " failures out of 110 cases across 1 primes: p=13 a=1 b=1;" in gk.detail
+
+
+def test_jacobi_sum_check_int64_limit(ctx_of):
+    # its int64 matmul is exact while (p-2) p^6 < 2^63 at n = 3: up to 509
+    assert 507 * 509**6 < 2**63 <= 519 * 521**6
+    with pytest.raises(BadPrecisionError):
+        jacobi_sum_check(ctx_of(521), GammaTable(ctx_of(521), 3))
 
 
 def test_residue_dtype_boundary(ctx_of):
