@@ -45,6 +45,7 @@ from .padic import (
     build_gamma_table,
     frac_bracket,
     jacobi_sum_check,
+    jacobi_sums,
     product_formula_check,
     reflection_check,
     teichmuller,
@@ -93,6 +94,7 @@ __all__ = [
     "frac_bracket",
     "is_prime",
     "jacobi_sum_check",
+    "jacobi_sums",
     "ks_statistic",
     "lift_signed",
     "make_prime_ctx",

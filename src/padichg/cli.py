@@ -28,12 +28,11 @@ from .hypergeo import (
     PLAIN_FAMILIES,
     SWEEP_FAMILIES,
     eval_family,
-    family_sweep,
     lift_signed,
     require_integral,
 )
 from .padic import build_gamma_table
-from .stats import distribution_report, moment_sum
+from .stats import distribution_report, family_values, moment_sum
 from .verify import SUITES, primes_between, run_suite
 
 
@@ -74,7 +73,7 @@ def _emit_rows(
 def cmd_eval(args: argparse.Namespace) -> int:
     ctx = make_prime_ctx(args.prime)
     require_integral(args.function, ctx.p)
-    table = build_gamma_table(ctx, args.precision)
+    table = build_gamma_table(ctx)
     value = lift_signed(eval_family(ctx, table, args.function, args.lam))
     normalized = value / math.sqrt(ctx.p)
     if args.format == "json":
@@ -93,13 +92,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     ctx = make_prime_ctx(args.prime)
-    values = family_sweep(ctx, args.function)
-    start = 2 if args.function == "ap" else 0
+    values = family_values(ctx, args.function)
+    start = ctx.p - len(values)
     bound = math.isqrt(4 * ctx.p)
     rs = math.sqrt(ctx.p)
     # every value lies in [-bound, bound]: format each possible one once
     vs = range(-bound, bound + 1)
-    rows = enumerate(values[start:].tolist(), start)
+    rows = enumerate(values.tolist(), start)
     if args.format == "json":
         cell = {
             v: f'"value": {v},\n    "normalized": {json.dumps(_rounded(v / rs))}'
@@ -228,13 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--prime", type=int, required=True)
     sp.add_argument("--function", required=True, choices=EVAL_FAMILIES)
     sp.add_argument("--lambda", dest="lam", type=int, required=True)
-    sp.add_argument(
-        "--precision",
-        type=int,
-        choices=(2, 3),
-        default=3,
-        help="working p-adic precision (digits of p, 2 or 3; default 3)",
-    )
     common(sp)
     sp.set_defaults(fn=cmd_eval)
 

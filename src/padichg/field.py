@@ -286,18 +286,6 @@ class PrimeContext:
         chi4_m1 = -1 if (self.p - 1) // 4 % 2 else 1
         return 2 * chi4_m1 * self.jacobi_sum_order4()[0]
 
-    def gauss_sum_float(self, k: int) -> complex:
-        """Gauss sum g(omega^k) as a complex float.
-
-        g(chi) = sum_{x=1}^{p-1} chi(x) * exp(2 pi i x / p).  For the
-        trivial character (k = 0 mod p-1) this returns -1.
-        """
-        p = self.p
-        x = np.arange(1, p, dtype=np.int64)
-        chi = np.exp(2j * np.pi * (k % (p - 1)) * self.dlog[x] / (p - 1))
-        zeta = np.exp(2j * np.pi * x / p)
-        return complex((chi * zeta).sum())
-
 
 def make_prime_ctx(p: int) -> PrimeContext:
     """Validate p and build the table context (alias for PrimeContext)."""

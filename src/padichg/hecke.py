@@ -30,8 +30,6 @@ as the independent oracle.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import BadWeightError, NonIntegralLeadingPowerError
@@ -59,15 +57,15 @@ def pk_poly(k: int, s: int, p: int) -> int:
 
 
 def pk_sum(values: np.ndarray, k: int, p: int) -> int:
-    """sum of P_k(v, p) over an array of values with |v| <= 2 sqrt(p)."""
-    atoms, counts = value_counts(values, math.isqrt(4 * p))
+    """sum of P_k(v, p) over a non-empty array of integer values."""
+    atoms, counts = value_counts(values)
     return sum(c * pk_poly(k, v, p) for v, c in zip(atoms.tolist(), counts.tolist()))
 
 
 def tilde_sweep(ctx: PrimeContext) -> np.ndarray:
     """The regularized sweep the trace formulas consume: the tilde variant
     of the family that is integral at p."""
-    return family_sweep(ctx, integral_family(ctx.p) + "t")
+    return family_sweep(ctx, integral_family(ctx.p).name + "t")
 
 
 def trace_level4(ctx: PrimeContext, k: int) -> int:

@@ -28,11 +28,13 @@ Two specializations of interest, both zero at lambda = 0 and -1:
         for every p >= 5.
 
 In its theorem class (p = 1 mod 6 for 2G2, p = 2 mod 3 for 6G6) each
-value equals the twisted Frobenius trace of the Legendre curve
-y^2 = x(x-1)(x-lambda), namely phi(-2) a_p(lambda) for 2G2 and
-phi(-1) a_p(lambda) for 6G6.  Each value is therefore a rational integer
-of absolute value at most 2*sqrt(p), recorded as GnValue.claimed_bound,
-making the exact signed integer recoverable from the residue.  The
+value equals the twisted Frobenius trace phi(twist) a_p(lambda) of the
+Legendre curve y^2 = x(x-1)(x-lambda), with the twist kept in the
+family's _FAMILIES row: -2 for 2G2 and -1 for 6G6.  Each value is
+therefore a rational integer of absolute value at most 2*sqrt(p),
+recorded as GnValue.claimed_bound, making the exact signed integer
+recoverable from the residue.  At lambda = 1, where the curve is
+singular and -sum_x phi(x(x-1)^2) = 1, the value is phi(twist).  The
 tilde variants subtract a correction at lambda = -1 so that the value
 there becomes the Frobenius trace a_p(-1) instead of 0.
 
@@ -136,7 +138,7 @@ class GnValue:
 class _Family:
     """One Legendre family, in the form of the module docstring."""
 
-    label: str
+    name: str
     upper: tuple[Fraction, ...]
     lower: tuple[Fraction, ...]
     p_shift: int
@@ -144,6 +146,7 @@ class _Family:
     rotation: Fraction  # the index j is shifted by rotation * (p-1)
     sign: int  # the sign is phi(sign * (1+lambda))
     p_class: tuple[int, int]  # (m, r): integral exactly when p = r (mod m)
+    twist: int  # in its class the value is phi(twist) a_p(lambda)
 
     def integral_at(self, p: int) -> bool:
         m, r = self.p_class
@@ -151,8 +154,11 @@ class _Family:
 
 
 _FAMILIES = {
-    "2g2": _Family("2G2", G2_UPPER, G2_LOWER, 1, (4, 1, -2), Fraction(1, 3), 2, (6, 1)),
-    "6g6": _Family("6G6", G6_UPPER, G6_LOWER, 0, (64, 3, -6), Fraction(0), 1, (3, 2)),
+    fam.name: fam
+    for fam in (
+        _Family("2g2", G2_UPPER, G2_LOWER, 1, (4, 1, -2), Fraction(1, 3), 2, (6, 1), -2),
+        _Family("6g6", G6_UPPER, G6_LOWER, 0, (64, 3, -6), Fraction(0), 1, (3, 2), -1),
+    )
 }
 PLAIN_FAMILIES = tuple(_FAMILIES)
 # scalar families: the plain ones and their tilde variants "<name>t"
@@ -299,7 +305,7 @@ def _check_class(fam: _Family, p: int) -> None:
     if not fam.integral_at(p):
         m, r = fam.p_class
         raise WrongResidueClassError(
-            f"{fam.label} has integer values only for p = {r} (mod {m}); p = {p}"
+            f"{fam.name.upper()} has integer values only for p = {r} (mod {m}); p = {p}"
         )
 
 
@@ -308,9 +314,9 @@ def require_integral(family: str, p: int) -> None:
     _check_class(_lookup(family), p)
 
 
-def integral_family(p: int) -> str:
-    """The plain family with integer values at the prime p >= 5."""
-    return next(name for name, fam in _FAMILIES.items() if fam.integral_at(p))
+def integral_family(p: int) -> _Family:
+    """The row of the plain family with integer values at the prime p >= 5."""
+    return next(fam for fam in _FAMILIES.values() if fam.integral_at(p))
 
 
 def eval_family(

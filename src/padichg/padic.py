@@ -25,13 +25,15 @@ its argument mod p^n, gathers from these arrays and multiplies residues
 through field.mulmod: a plain int64 product while p^(2n) < 2^63
 (p <= 1447 at n = 3, p <= 55103 at n = 2), a base-p digit product above.
 Every residue mod p^n must itself fit in int64, so precision 3 stops at
-p < 2^21; a GammaTable past that limit raises BadPrecisionError.
+p < 2^21; a GammaTable past that limit raises BadPrecisionError, and
+build_gamma_table's default precision is 2 there.
 
 _gamma_product, the product of Gamma_p at num/den, serves hypergeo's
 coefficients, entries() and the identity checks of verify's gamma
 suite, which return bool arrays.  Of these, jacobi_sum_check ties the
 table to the context's characters: by Gross-Koblitz, a Jacobi sum of
-Teichmuller characters is a ratio of Gamma_p values.
+Teichmuller characters is a ratio of Gamma_p values.  Its left side,
+jacobi_sums, also feeds verify's gauss suite.
 """
 
 from __future__ import annotations
@@ -179,8 +181,10 @@ class GammaTable:
         return _gamma_product(self, (k,), self.p - 1).tolist()
 
 
-def build_gamma_table(ctx: PrimeContext, n: int = 3) -> GammaTable:
-    """Precompute Gamma_p evaluation tables at precision p^n."""
+def build_gamma_table(ctx: PrimeContext, n: int | None = None) -> GammaTable:
+    """Gamma_p tables at precision p^n; by default n = 3 below 2^21, else 2."""
+    if n is None:
+        n = 3 if ctx.p**3 < 2**63 else 2
     return GammaTable(ctx, n)
 
 
@@ -234,28 +238,35 @@ def product_formula_check(table: GammaTable, m: int, r: np.ndarray) -> np.ndarra
     return lhs == mulmod(rhs, _gamma_product(table, (r,), p - 1), p, n)
 
 
-def jacobi_sum_check(ctx: PrimeContext, table: GammaTable) -> np.ndarray:
-    """Gross-Koblitz for Jacobi sums: for 0 < a, b < p-1 with
-    c = (a + b) mod (p-1) != 0, mod p^n,
-
-        sum_{x != 0, 1} omega(x)^(-a) * omega(1-x)^(-b)
-            == eps * Gamma_p(a/(p-1)) * Gamma_p(b/(p-1)) / Gamma_p(c/(p-1)),
-
-    with eps = -1 if a + b < p-1, else p.  Returns the (p-1, p-1) bool
-    array ok[a, b], True off that range.  The left side reads ctx.g and
-    ctx.dlog, the right side the Gamma_p table.
-    """
-    p, n, pn = table.p, table.n, table.modulus
-    # the left side is an int64 matmul over p-2 products of residues mod
-    # p^n, exact while (p-2) p^(2n) < 2^63, which holds for p < 500 at n = 3
+def jacobi_sums(ctx: PrimeContext, n: int) -> np.ndarray:
+    """J[a, b] = sum_{x != 0, 1} omega(x)^(-a) omega(1-x)^(-b) mod p^n from
+    ctx.g and ctx.dlog, as a (p-1, p-1) int64 array: one int64 matmul,
+    exact while (p-2) p^(2n) < 2^63 (p <= 509 at n = 3); past that it
+    raises BadPrecisionError."""
+    p, pn = ctx.p, ctx.p**n
     if (p - 2) * pn * pn >= 2**63:
         raise BadPrecisionError(f"p = {p} is too large for int64 Jacobi sums at precision {n}")
     zeta = powers_mod(teichmuller(p, ctx.g, n), p - 1, p, n)
     a = np.arange(p - 1, dtype=np.int64)[:, None]
-    s = a + a.T
     # z[a, x - 2] = omega(x)^(-a), x = 2 .. p-1; 1 - x runs over them in reverse
     z = zeta[-a * ctx.dlog[2:] % (p - 1)]
-    lhs = z @ z[:, ::-1].T % pn
+    return z @ z[:, ::-1].T % pn
+
+
+def jacobi_sum_check(ctx: PrimeContext, table: GammaTable) -> np.ndarray:
+    """Gross-Koblitz for Jacobi sums: for 0 < a, b < p-1 with
+    c = (a + b) mod (p-1) != 0, mod p^n,
+
+        J[a, b] == eps * Gamma_p(a/(p-1)) * Gamma_p(b/(p-1)) / Gamma_p(c/(p-1)),
+
+    with J = jacobi_sums(ctx, n) and eps = -1 if a + b < p-1, else p.
+    Returns the (p-1, p-1) bool array ok[a, b], True off that range.  The
+    left side reads ctx.g and ctx.dlog, the right side the Gamma_p table.
+    """
+    p, n, pn = table.p, table.n, table.modulus
+    lhs = jacobi_sums(ctx, n)
+    a = np.arange(p - 1, dtype=np.int64)[:, None]
+    s = a + a.T
     gam = np.array(table.entries(), dtype=np.int64)
     inv = np.array([pow(v, -1, pn) for v in gam.tolist()], dtype=np.int64)
     rhs = mulmod(mulmod(gam[a], gam[a.T], p, n), inv[s % (p - 1)], p, n)

@@ -59,15 +59,13 @@ def family_values(ctx: PrimeContext, family: str) -> np.ndarray:
     return sweep
 
 
-def value_counts(values: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of an integer array, ascending, and their counts.
-
-    Every value must be >= -bound; one bincount over the shifted values
-    replaces a sort.
-    """
-    counts = np.bincount(values + bound)
+def value_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a non-empty integer array, ascending, and
+    their counts: one bincount of the values less their minimum."""
+    lo = values.min()
+    counts = np.bincount(values - lo)
     nonzero = np.flatnonzero(counts)
-    return nonzero - bound, counts[nonzero]
+    return nonzero + lo, counts[nonzero]
 
 
 def power_sum(atoms: np.ndarray, counts: np.ndarray, m: int) -> int:
@@ -90,7 +88,7 @@ def moment_sum(ctx: PrimeContext, family: str, m: int) -> MomentReport:
     if m < 1:
         raise ValueError("moment order m must be >= 1")
     vals = family_values(ctx, family)
-    total = power_sum(*value_counts(vals, math.isqrt(4 * ctx.p)), m)
+    total = power_sum(*value_counts(vals), m)
     normalized = total / ctx.p ** (m / 2 + 1)
     expected = float(catalan(m // 2)) if m % 2 == 0 else 0.0
     return MomentReport(ctx.p, family, m, total, normalized, expected)
@@ -151,7 +149,7 @@ def distribution_report(
             f"{bins} bins exceed the {2 * bound + 1} integer values a family "
             f"can take at p = {ctx.p}"
         )
-    atoms, mult = value_counts(family_values(ctx, family), bound)
+    atoms, mult = value_counts(family_values(ctx, family))
     points = atoms / math.sqrt(ctx.p)
     counts, edges = np.histogram(points, bins=bins, range=(-2.0, 2.0), weights=mult)
     n = int(mult.sum())

@@ -3,16 +3,16 @@
 Five named suites, each producing one aggregated CheckResult per
 mathematical statement:
 
-    identities  the hypergeometric-to-Frobenius identities, the special
-                value 2G2(1) = phi(-2), and the regularized value
-                tilde(-1) = a_p(-1)
+    identities  the hypergeometric-to-Frobenius identities
+                G = phi(twist) a_p, the special value G(1) = phi(twist),
+                and the regularized value tilde(-1) = a_p(-1)
     gamma       reflection, the integer functional equation, Teichmuller
                 unit order, precision consistency, the multiplication
                 (product) formula, and Gross-Koblitz for Jacobi sums
                 (exact, mod p^3)
-    gauss       Gauss sum modulus, Jacobi sum norm, and the
-                Davenport-Hasse relation for n = 2 (float, 1e-6
-                relative)
+    gauss       on the exact Jacobi sums mod p^3 (padic.jacobi_sums),
+                their modulus and the Davenport-Hasse relation for n = 2;
+                and the norm of the order-4 Jacobi sum
     moments     the Hasse bound on every value, the exact moment
                 decomposition identity, and - when the range reaches the
                 anchor primes near 10^4 and 3*10^4 - moment thresholds
@@ -24,9 +24,10 @@ mathematical statement:
 Statements that are theorems for every prime run over the whole
 requested range [pmin, pmax].  Statements whose contract is an
 exhaustive bound run only inside that bound (noted per check): the
-multiplication formula, Gross-Koblitz and the float Gauss checks at
-p <= 100, the decomposition identity at p <= 100, and the Hasse-bound
-scan at p <= 199 (the anchor checks cover large p).
+multiplication formula, Gross-Koblitz, the whole gauss suite and the
+decomposition identity at p <= 100, and the Hasse-bound scan at
+p <= 199 (the anchor checks cover large p).  Only the anchor checks
+have tolerances.  Each family's twist comes from hypergeo's table.
 
 The gamma suite evaluates every Gamma_p identity on whole int64 arrays
 per prime (or per order m) through GammaTable.gamma_residue, the one
@@ -40,19 +41,19 @@ patched, so such comparisons cannot fail.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .field import make_prime_ctx, mulmod
+from .field import make_prime_ctx, mulmod, powers_mod
 from .hecke import newform_coefficients, pk_sum, trace_level4, trace_level8
-from .hypergeo import family_sweep, integral_family
+from .hypergeo import _FAMILIES, family_sweep, integral_family
 from .padic import (
     build_gamma_table,
     jacobi_sum_check,
+    jacobi_sums,
     product_formula_check,
     reflection_check,
     teichmuller,
@@ -130,45 +131,26 @@ def _fails(ok: np.ndarray, prefix: str) -> list[str]:
     return [f"{prefix}{i}" for i in np.flatnonzero(~ok).tolist()]
 
 
-def _twisted_trace_fails(
-    p: int, label: str, twist_name: str, g: np.ndarray, s: int, ap: np.ndarray
-) -> list[str]:
-    """One failure string per lambda in 2 .. p-2 where g != s * a_p."""
-    bad = np.flatnonzero(g[2 : p - 1] != s * ap[2 : p - 1]) + 2
-    return [
-        f"p={p} lambda={lam}: {label}={int(g[lam])}, {twist_name}*ap={s * int(ap[lam])}"
-        for lam in bad.tolist()
-    ]
-
-
 def _identities_worker(p: int) -> _Frag:
     ctx = make_prime_ctx(p)
-    frag: _Frag = {}
     ap = family_sweep(ctx, "ap")
     fam = integral_family(p)
-    g = family_sweep(ctx, fam)
-    if fam == "2g2":
-        s = ctx.legendre_symbol(-2)
-        fails = _twisted_trace_fails(p, "2G2", "phi(-2)", g, s, ap)
-        frag["2g2-matches-phi(-2)-ap"] = (1, p - 3, fails)
-        sp_fails = [] if int(g[1]) == s else [f"p={p}: 2G2(1)={int(g[1])}, phi(-2)={s}"]
-        frag["special-values"] = (1, 1, sp_fails)
-    else:
-        s = ctx.legendre_symbol(-1)
-        fails = _twisted_trace_fails(p, "6G6", "phi(-1)", g, s, ap)
-        frag["6g6-matches-phi(-1)-ap"] = (1, p - 3, fails)
-    tl = int(family_sweep(ctx, fam + "t")[p - 1])
+    g = family_sweep(ctx, fam.name)
+    s, twist = ctx.legendre_symbol(fam.twist), f"phi({fam.twist})"
+    label = fam.name.upper()
+    frag: _Frag = {}
+    bad = np.flatnonzero(g[2 : p - 1] != s * ap[2 : p - 1]) + 2
+    fails = [
+        f"p={p} lambda={lam}: {label}={int(g[lam])}, {twist}*ap={s * int(ap[lam])}"
+        for lam in bad.tolist()
+    ]
+    frag[f"{fam.name}-matches-{twist}-ap"] = (1, p - 3, fails)
+    sp_fails = [] if int(g[1]) == s else [f"p={p}: {label}(1)={int(g[1])}, {twist}={s}"]
+    frag["special-values"] = (1, 1, sp_fails)
+    tl = int(family_sweep(ctx, fam.name + "t")[p - 1])
     t_fails = [] if tl == int(ap[p - 1]) else [f"p={p}: tilde(-1)={tl}, a_p(-1)={int(ap[p - 1])}"]
     frag["tilde-at-minus-one"] = (1, 1, t_fails)
     return frag
-
-
-_IDENTITY_ORDER = (
-    "2g2-matches-phi(-2)-ap",
-    "6g6-matches-phi(-1)-ap",
-    "special-values",
-    "tilde-at-minus-one",
-)
 
 
 def _gamma_worker(p: int) -> _Frag:
@@ -234,15 +216,19 @@ def _gauss_worker(p: int) -> _Frag:
     if p > 100:
         return frag
     ctx = make_prime_ctx(p)
-    n1 = p - 1
-    gs = [ctx.gauss_sum_float(k) for k in range(n1)]
-    mod_fails = []
-    for k in range(1, n1):
-        if abs(abs(gs[k]) ** 2 - p) / p > 1e-6:
-            mod_fails.append(f"p={p} k={k}")
-    if abs(gs[0] + 1) > 1e-6:
-        mod_fails.append(f"p={p}: trivial Gauss sum != -1")
-    frag["gauss-modulus"] = (1, n1, mod_fails)
+    n1, pn = p - 1, p**3
+    jac = jacobi_sums(ctx, 3)
+    a = np.arange(1, n1, dtype=np.int64)[:, None]
+    b = a.T
+    # J(chi, psi) J(conj chi, conj psi) = p where chi psi is nontrivial,
+    # and J(chi, conj chi) = -chi(-1), for chi = omega^(-a), psi = omega^(-b)
+    ok = np.where(
+        (a + b) % n1 == 0,
+        jac[a, b] == np.where(a % 2, 1, pn - 1),
+        mulmod(jac[a, b], jac[-a % n1, -b % n1], p, 3) == p,
+    )
+    bad = (np.argwhere(~ok) + 1).tolist()
+    frag["jacobi-modulus"] = (1, ok.size, [f"p={p} a={x} b={y}" for x, y in bad])
 
     if p % 4 == 1:
         re, im = ctx.jacobi_sum_order4()
@@ -250,20 +236,18 @@ def _gauss_worker(p: int) -> _Frag:
         jn_fails = [] if norm == p else [f"p={p}: norm={norm}"]
         frag["jacobi-norm"] = (1, 1, jn_fails)
 
-        half = n1 // 2
-        d4 = int(ctx.dlog[4 % p])
-        dh_fails = []
-        for k in range(n1):
-            lhs = gs[k] * gs[(k + half) % n1]
-            psi4_inv = cmath.exp(-2j * cmath.pi * (k * d4 % n1) / n1)
-            rhs = gs[2 * k % n1] * psi4_inv * gs[half]
-            if abs(lhs - rhs) / max(abs(lhs), 1e-9) > 1e-6:
-                dh_fails.append(f"p={p} k={k}")
-        frag["davenport-hasse"] = (1, n1, dh_fails)
+    # Davenport-Hasse for n = 2: J(chi, chi) = conj chi(4) J(chi, phi)
+    # where chi^2 is nontrivial, with phi = omega^((p-1)/2) quadratic
+    half = n1 // 2
+    d = np.arange(1, n1, dtype=np.int64)
+    d = d[d != half]
+    w4 = powers_mod(teichmuller(p, 4, 3), n1, p, 3)
+    ok = jac[d, d] == mulmod(w4[d], jac[d, half], p, 3)
+    frag["davenport-hasse"] = (1, len(d), [f"p={p} a={x}" for x in d[~ok].tolist()])
     return frag
 
 
-_GAUSS_ORDER = ("gauss-modulus", "jacobi-norm", "davenport-hasse")
+_GAUSS_ORDER = ("jacobi-modulus", "jacobi-norm", "davenport-hasse")
 
 
 def _moments_worker(p: int) -> _Frag:
@@ -271,23 +255,20 @@ def _moments_worker(p: int) -> _Frag:
     if p > 199:
         return frag
     ctx = make_prime_ctx(p)
-    plain = integral_family(p)
-    fams = ("ap", plain, plain + "t")
+    fam = integral_family(p)
     hb_fails, hb_cases = [], 0
-    for fam in fams:
-        sw = family_sweep(ctx, fam)
+    for name in ("ap", fam.name, fam.name + "t"):
+        sw = family_sweep(ctx, name)
         hb_cases += len(sw)
         for lam in np.nonzero(sw * sw > 4 * p)[0][:3]:
-            hb_fails.append(f"p={p} family={fam} lambda={int(lam)}")
+            hb_fails.append(f"p={p} family={name} lambda={int(lam)}")
     frag["hasse-bound"] = (1, hb_cases, hb_fails)
 
-    if plain == "2g2" and p <= 100:
-        g = family_sweep(ctx, "2g2")
-        ap = family_sweep(ctx, "ap")
-        s = ctx.legendre_symbol(-2)
+    if p <= 100:
+        g, ap = family_sweep(ctx, fam.name), family_sweep(ctx, "ap")
+        s = ctx.legendre_symbol(fam.twist)
         g1, apm1 = int(g[1]), int(ap[p - 1])
-        bound = math.isqrt(4 * p)
-        g_counts, ap_counts = value_counts(g, bound), value_counts(ap[2:], bound)
+        g_counts, ap_counts = value_counts(g), value_counts(ap[2:])
         dc_fails = []
         for m in range(1, 7):
             lhs = power_sum(*g_counts, m)
@@ -415,7 +396,8 @@ def run_suite(suite: str, pmin: int = 5, pmax: int = 199) -> list[CheckResult]:
 
     if suite == "identities":
         frags = map(_identities_worker, primes)
-        return _results(suite, _merge(frags), _IDENTITY_ORDER)
+        twists = (f"{fam.name}-matches-phi({fam.twist})-ap" for fam in _FAMILIES.values())
+        return _results(suite, _merge(frags), (*twists, "special-values", "tilde-at-minus-one"))
     if suite == "gamma":
         frags = map(_gamma_worker, primes)
         return _results(suite, _merge(frags), _GAMMA_ORDER)

@@ -71,22 +71,16 @@ class TestEval:
         assert code == 2
         assert "p = 2 (mod 3)" in err
 
-    @staticmethod
-    def assert_precision_rejected(capsys, precision: str):
+    def test_precision_is_not_an_option(self, capsys):
+        # the Gamma_p table's precision follows the prime, not a flag
         with pytest.raises(SystemExit) as exc:
             main([
                 "eval", "--prime", "1009", "--function", "2g2",
-                "--lambda", "3", "--precision", precision,
+                "--lambda", "3", "--precision", "3",
             ])
         out, err = capsys.readouterr()
         assert (exc.value.code, out) == (2, "")
-        assert "invalid choice" in err
-
-    def test_precision_above_three_rejected(self, capsys):
-        self.assert_precision_rejected(capsys, "4")
-
-    def test_precision_below_two_rejected(self, capsys):
-        self.assert_precision_rejected(capsys, "1")
+        assert "unrecognized arguments: --precision 3" in err
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(
@@ -291,7 +285,7 @@ class TestVerify:
         assert out.splitlines() == [
             "PASS identities/2g2-matches-phi(-2)-ap: 1986 cases across 21 primes",
             "PASS identities/6g6-matches-phi(-1)-ap: 2104 cases across 23 primes",
-            "PASS identities/special-values: 21 cases across 21 primes",
+            "PASS identities/special-values: 44 cases across 44 primes",
             "PASS identities/tilde-at-minus-one: 44 cases across 44 primes",
             "PASS gamma/reflection: 4178 cases across 44 primes",
             "PASS gamma/functional-equation: 10080 cases across 44 primes",
@@ -299,11 +293,11 @@ class TestVerify:
             "PASS gamma/precision-consistency: 4178 cases across 44 primes",
             "PASS gamma/product-formula: 5275 cases across 23 primes",
             "PASS gamma/gross-koblitz: 60646 cases across 23 primes",
-            "PASS gauss/gauss-modulus: 1032 cases across 23 primes",
+            "PASS gauss/jacobi-modulus: 61655 cases across 23 primes",
             "PASS gauss/jacobi-norm: 11 cases across 11 primes",
-            "PASS gauss/davenport-hasse: 504 cases across 11 primes",
+            "PASS gauss/davenport-hasse: 986 cases across 23 primes",
             "PASS moments/hasse-bound: 12666 cases across 44 primes",
-            "PASS moments/decomposition-identity: 66 cases across 11 primes",
+            "PASS moments/decomposition-identity: 138 cases across 23 primes",
             "PASS traces/level4-weight4-zero: 44 cases across 44 primes",
             "PASS traces/level4-weight6-eta: 44 cases across 44 primes",
             "PASS traces/level8-weight4-eta: 44 cases across 44 primes",

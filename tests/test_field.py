@@ -123,12 +123,6 @@ def test_correction_term(ctx_of):
         assert ap_point_count(p, p - 1) == 0
 
 
-def test_gauss_sum_float(ctx_of):
-    assert abs(abs(ctx_of(5).gauss_sum_float(2)) ** 2 - 5) < 1e-6
-    assert abs(ctx_of(7).gauss_sum_float(0) + 1) < 1e-6
-    assert abs(abs(ctx_of(13).gauss_sum_float(4)) ** 2 - 13) < 1e-6
-
-
 @pytest.mark.parametrize("p", [1447, 1451])
 def test_cumprod_mod_matches_loop(p):
     modulus = p**3

@@ -338,8 +338,9 @@ def test_context_freed_by_refcount():
 def test_integral_family_follows_class_table():
     for p in small_primes(5, 200):
         fam = integral_family(p)
-        require_integral(fam, p)
-        assert fam == ("2g2" if p % 3 == 1 else "6g6")
+        require_integral(fam.name, p)
+        assert fam.name == ("2g2" if p % 3 == 1 else "6g6")
+        assert fam.twist == (-2 if p % 3 == 1 else -1)
 
 
 class TestExactTransforms:
@@ -377,7 +378,7 @@ class TestExactTransforms:
     def test_eval_precision_three_matches_sweep(self, ctx_of, table_of, p):
         # scalar digit dot products mod p^3 against the mod p^2 sweep
         ctx, tab = ctx_of(p), table_of(p, 3)
-        fam = integral_family(p)
+        fam = integral_family(p).name
         sweep = family_sweep(ctx, fam)
         for lam in random.Random(p).sample(range(p), 20):
             assert eval_family(ctx, tab, fam, lam).lift() == int(sweep[lam]), lam

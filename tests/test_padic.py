@@ -19,11 +19,12 @@ from padichg import (
     build_gamma_table,
     frac_bracket,
     jacobi_sum_check,
+    jacobi_sums,
     product_formula_check,
     reflection_check,
     teichmuller,
 )
-from padichg import verify
+from padichg import padic, verify
 from padichg.errors import ArgumentNotRepresentableError
 from padichg.field import mulmod
 
@@ -31,6 +32,7 @@ from oracles import (
     gamma_block,
     gamma_morita,
     gamma_tables_loop,
+    gross_koblitz_reference,
     jacobi_sum_reference,
     product_formula_reference,
     reflection_reference,
@@ -155,10 +157,14 @@ class TestGammaTable:
             GammaTable(ctx_of(5), 0)
 
 
-def test_build_gamma_table_default_precision(ctx_of):
+def test_build_gamma_table_default_precision(ctx_of, monkeypatch):
     ctx = ctx_of(7)
     assert build_gamma_table(ctx).n == 3
     assert build_gamma_table(ctx, 2).n == 2
+    # past p < 2^21 the default drops to n = 2; a stand-in table records n
+    monkeypatch.setattr(padic, "GammaTable", lambda ctx, n: n)
+    assert build_gamma_table(SimpleNamespace(p=2097143)) == 3
+    assert build_gamma_table(SimpleNamespace(p=2097169)) == 2
 
 
 def ints(*xs):
@@ -188,9 +194,9 @@ def _reflection_args(t: GammaTable) -> np.ndarray:
 
 
 def _jacobi_reference_grid(p, gamma=None):
-    # jacobi_sum_reference at 0 < a, b < p-1 with a + b != p-1; True elsewhere
+    # gross_koblitz_reference at 0 < a, b < p-1 with a + b != p-1; True elsewhere
     return [
-        [not (a and b and (a + b) % (p - 1)) or jacobi_sum_reference(p, 3, a, b, gamma)
+        [not (a and b and (a + b) % (p - 1)) or gross_koblitz_reference(p, 3, a, b, gamma)
          for b in range(p - 1)]
         for a in range(p - 1)
     ]
@@ -207,6 +213,11 @@ def test_array_checks_match_scalar_reference(ctx_of, table_of, p):
     for m in ORDERS:
         got = product_formula_check(t, m, np.arange(p, dtype=np.int64))
         assert got.tolist() == [product_formula_reference(p, 3, m, x) for x in range(p)]
+    jac = jacobi_sums(ctx_of(p), 3)
+    assert jac.dtype == np.int64
+    assert jac.tolist() == [
+        [jacobi_sum_reference(p, 3, a, b) for b in range(p - 1)] for a in range(p - 1)
+    ]
     ok = jacobi_sum_check(ctx_of(p), t)
     assert ok.dtype == bool and ok.shape == (p - 1, p - 1)
     assert ok.tolist() == _jacobi_reference_grid(p)
@@ -276,13 +287,37 @@ def test_swapped_dlog_is_flagged(ctx_of, table_of, monkeypatch):
     assert not gk.ok
     # the context's dlog also feeds the table's inverses 1/c mod p
     assert " failures out of 110 cases across 1 primes: p=13 a=1 b=1;" in gk.detail
+    gauss = {res.name: res for res in verify.run_suite("gauss", p, p)}
+    assert gauss["jacobi-modulus"].detail.startswith("111 failures out of 121 cases")
+    assert gauss["davenport-hasse"].detail.startswith("10 failures out of 10 cases")
+    assert not gauss["jacobi-modulus"].ok and not gauss["davenport-hasse"].ok
+
+
+def test_squared_generator_is_flagged(ctx_of, monkeypatch):
+    # g replaced by g^2 while dlog stays base g: omega(g^2) has order
+    # (p-1)/2, so the matrix reads J[2a, 2b] in place of J[a, b]
+    p = 13
+    bad = PrimeContext(p)
+    bad.g = bad.g**2 % p
+    a = np.arange(p - 1)[:, None]
+    assert np.array_equal(
+        jacobi_sums(bad, 3), jacobi_sums(ctx_of(p), 3)[2 * a % (p - 1), 2 * a.T % (p - 1)]
+    )
+    monkeypatch.setattr(verify, "make_prime_ctx", lambda q: bad)
+    gauss = {res.name: res for res in verify.run_suite("gauss", p, p)}
+    assert gauss["jacobi-modulus"].detail.startswith("37 failures out of 121 cases")
+    assert gauss["davenport-hasse"].detail.startswith("10 failures out of 10 cases")
+    assert not gauss["jacobi-modulus"].ok and not gauss["davenport-hasse"].ok
 
 
 def test_jacobi_sum_check_int64_limit(ctx_of):
     # its int64 matmul is exact while (p-2) p^6 < 2^63 at n = 3: up to 509
     assert 507 * 509**6 < 2**63 <= 519 * 521**6
     with pytest.raises(BadPrecisionError):
+        jacobi_sums(ctx_of(521), 3)
+    with pytest.raises(BadPrecisionError):
         jacobi_sum_check(ctx_of(521), GammaTable(ctx_of(521), 3))
+    assert jacobi_sums(ctx_of(509), 3).shape == (508, 508)
 
 
 def test_residue_dtype_boundary(ctx_of):

@@ -1,8 +1,10 @@
 """Verification-suite plumbing: prime ranges and result merging."""
 
+import dataclasses
+
 import pytest
 
-from padichg import primes_between, run_suite
+from padichg import hypergeo, primes_between, run_suite
 from padichg.verify import SUITES
 
 from oracles import small_primes
@@ -27,6 +29,30 @@ def test_identities_suite_small_range():
     assert "2g2-matches-phi(-2)-ap" in names
     assert "6g6-matches-phi(-1)-ap" in names
     assert "tilde-at-minus-one" in names
+
+
+def test_special_values_cover_both_families():
+    # 5 = 2 (mod 3): G(1) = phi(twist) is checked for 6G6 as for 2G2
+    (sv,) = [r for r in run_suite("identities", 5, 5) if r.name == "special-values"]
+    assert sv.ok and sv.detail == "1 cases across 1 primes"
+
+
+def test_wrong_twist_is_flagged(monkeypatch):
+    # the identities suite reads each family's twist from its table row;
+    # at 13, phi(-1) = 1 but phi(-2) = -1, so a 2G2 row with 6G6's twist
+    # fails both checks that read it; a_p(lambda) != 0 at every lambda
+    # in 2 .. 11 there
+    row = hypergeo._FAMILIES["2g2"]
+    monkeypatch.setitem(hypergeo._FAMILIES, "2g2", dataclasses.replace(row, twist=-1))
+    results = {r.name: r for r in run_suite("identities", 13, 13)}
+    assert "2g2-matches-phi(-2)-ap" not in results
+    assert results["2g2-matches-phi(-1)-ap"].detail.startswith(
+        "10 failures out of 10 cases across 1 primes: p=13 lambda=2: 2G2=-6, phi(-1)*ap=6;"
+    )
+    assert results["special-values"].detail == (
+        "1 failures out of 1 cases across 1 primes: p=13: 2G2(1)=-1, phi(-1)=1"
+    )
+    assert results["tilde-at-minus-one"].ok
 
 
 def test_all_runs_every_suite():
