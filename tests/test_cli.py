@@ -71,16 +71,26 @@ class TestEval:
         assert code == 2
         assert "p = 2 (mod 3)" in err
 
-    def test_precision_is_not_an_option(self, capsys):
+    @staticmethod
+    def assert_precision_rejected(capsys, precision: str):
         # the Gamma_p table's precision follows the prime, not a flag
         with pytest.raises(SystemExit) as exc:
             main([
                 "eval", "--prime", "1009", "--function", "2g2",
-                "--lambda", "3", "--precision", "3",
+                "--lambda", "3", "--precision", precision,
             ])
         out, err = capsys.readouterr()
         assert (exc.value.code, out) == (2, "")
-        assert "unrecognized arguments: --precision 3" in err
+        assert f"unrecognized arguments: --precision {precision}" in err
+
+    def test_precision_is_not_an_option(self, capsys):
+        self.assert_precision_rejected(capsys, "3")
+
+    def test_precision_above_three_rejected(self, capsys):
+        self.assert_precision_rejected(capsys, "4")
+
+    def test_precision_below_two_rejected(self, capsys):
+        self.assert_precision_rejected(capsys, "1")
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(
