@@ -94,10 +94,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ctx = make_prime_ctx(args.prime)
     values = family_values(ctx, args.function)
     start = ctx.p - len(values)
-    bound = math.isqrt(4 * ctx.p)
     rs = math.sqrt(ctx.p)
-    # every value lies in [-bound, bound]: format each possible one once
-    vs = range(-bound, bound + 1)
+    # format each value in the sweep's range once
+    vs = range(values.min(), values.max() + 1)
     rows = enumerate(values.tolist(), start)
     if args.format == "json":
         cell = {

@@ -187,10 +187,10 @@ class PrimeContext:
         dlog: dlog[x] = k with g**k = x mod p; dlog[0] = -1 as a sentinel.
         legendre: legendre[x] in {-1, 0, 1}, the quadratic character.
         sweeps: cache of hypergeo.family_sweep, by family name.
-        digits: cache of the base-p digit rows that hypergeo.eval_gn
-            reads: the coefficients of hypergeo._coefficients by
-            (upper, lower, p_shift, n), and the powers of omega(g) mod
-            p^n by n.  The coefficient array itself is not kept.
+        digits: cache of hypergeo's base-p digit rows: coefficients by
+            (upper, lower, p_shift, n) for eval_gn and by (family name,
+            n) for eval_family (rolled), and the powers of omega(g) mod
+            p^n by n.  The coefficient arrays themselves are not kept.
     """
 
     def __init__(self, p: int):

@@ -48,22 +48,23 @@ p^p_shift nGn(t) = sum_j s_j omega(t)^(-j), the _FAMILIES table reads
     2G2(lambda) = phi(2(1+lambda)) * sum_j s_j omega(t)^(-(j + (p-1)/3)),
     6G6(lambda) = phi(1+lambda)    * sum_j s_j omega(t)^(-j).
 
+With c the s rolled by the rotation ((p-1)/3 or 0), zeta = omega(g) and
+u = -dlog t(lambda), each is sign * W(u), W(v) = sum_j c_j zeta^(j v).
+eval_family and family_sweep read c, (u, sign) from _fiber and the lift
+from lift_signed alike, so a query computes no omega(t).
+
 Every residue mod p^n is an int64, and residues multiply through
 field.mulmod, a base-p digit product once p^(2n) reaches 2^63; so
 precision 3 serves p < 2^21, and sweeps (precision 2) have no prime
-ceiling.  eval_gn is a digit dot product: with zeta = omega(g) and
-e = -dlog(t), omega(t)^(-j) = zeta^(e j), so the sum is
+ceiling.  A scalar W(u) (eval_family, and eval_gn with c = s) is
 
-    sum_(i+k<n) p^(i+k) * sum_j digit_i(s_j) digit_k(zeta^(e j mod p-1))
+    sum_(i+k<n) p^(i+k) * sum_j digit_i(c_j) digit_k(zeta^(j u mod p-1))
 
 mod p^n: a gather of the powers of zeta, then n(n+1)/2 int64 dot
-products of base-p digit rows (field.digit_dot).  The digit rows of s
-and of the powers of zeta are cached on the context.
+products of base-p digit rows (field.digit_dot), cached on the context.
 
-family_sweep evaluates a family at every lambda at once, exactly, in
-O(p log p).  With c_j the rotated coefficients and zeta = omega(g), each
-value is (up to its sign) W(v) = sum_j c_j zeta^(j v) mod p^2 at
-v = -dlog(t(lambda)).  The identity j v = C(j+v, 2) - C(j, 2) - C(v, 2),
+family_sweep evaluates W(v) mod p^2 at every v at once, exactly, in
+O(p log p).  The identity j v = C(j+v, 2) - C(j, 2) - C(v, 2),
 C(n, 2) = n(n-1)/2, makes W one linear correlation of c_j zeta^(-C(j,2))
 with zeta^(C(m,2)).  That correlation is exact: residues mod p^2 split
 into the fewest equal limbs whose worst-case correlation stays below
@@ -119,8 +120,8 @@ _COEFF_BLOCK = 4096
 
 @dataclass(frozen=True)
 class GnValue:
-    """A hypergeometric value: its residue in [0, modulus), the modulus
-    p^n, and an optional archimedean bound.
+    """A hypergeometric value: its residue in [0, modulus) (an int64 array
+    of them in a sweep), the modulus p^n, and an optional archimedean bound.
 
     claimed_bound is floor(2*sqrt(p)) when an integrality theorem pins the
     value as a rational integer in [-2*sqrt(p), 2*sqrt(p)], else None.
@@ -166,8 +167,9 @@ EVAL_FAMILIES = (*PLAIN_FAMILIES, *(name + "t" for name in PLAIN_FAMILIES))
 SWEEP_FAMILIES = (*EVAL_FAMILIES, "ap")
 
 
-def lift_signed(v: GnValue) -> int:
-    """The unique signed integer within the claimed bound, exactly.
+def lift_signed(v: GnValue) -> int | np.ndarray:
+    """The unique signed integer within the claimed bound, exactly: an
+    int, or an int64 array entry by entry for an array residue.
 
     Needs 2*bound < p^n so that at most one representative qualifies.
     """
@@ -175,18 +177,17 @@ def lift_signed(v: GnValue) -> int:
         raise NoRepresentativeError(
             "value carries no integrality bound; cannot lift to an integer"
         )
-    r, pn = v.residue, v.modulus
-    if pn <= 2 * v.claimed_bound + 1:
-        raise PrecisionExhaustedError(
-            f"modulus {pn} cannot separate |x| <= {v.claimed_bound}"
+    r, pn, bound = v.residue, v.modulus, v.claimed_bound
+    if pn <= 2 * bound + 1:
+        raise PrecisionExhaustedError(f"modulus {pn} cannot separate |x| <= {bound}")
+    signed = r - pn * (r > bound)
+    bad = abs(signed) > bound
+    if np.any(bad):
+        raise NoRepresentativeError(
+            f"no integer of absolute value <= {bound} is "
+            f"{int(np.asarray(r)[bad][0])} mod {pn}"
         )
-    if r <= v.claimed_bound:
-        return r
-    if pn - r <= v.claimed_bound:
-        return r - pn
-    raise NoRepresentativeError(
-        f"no integer of absolute value <= {v.claimed_bound} is {r} mod {pn}"
-    )
+    return signed
 
 
 def _coefficients(
@@ -197,7 +198,7 @@ def _coefficients(
 ) -> np.ndarray:
     """Per-j coefficients s_j mod p^n with everything except conj(omega)^j(t)
     folded in, so that nGn(t) = sum_j s_j * omega(t)^(-j): a read-only
-    int64 array.  It is not cached: eval_gn keeps its digit rows and
+    int64 array.  It is not cached: _transform keeps its digit rows and
     family_sweep its result.  A parameter that is not a p-adic integer
     raises ParameterNotPadicError (from table.gamma_fraction)."""
     p, pn, n = table.p, table.modulus, table.n
@@ -254,13 +255,21 @@ def _check_table(ctx: PrimeContext, table: GammaTable) -> None:
         )
 
 
-def _digit_rows(ctx: PrimeContext, key, n: int, residues) -> np.ndarray:
-    """The (n, len) base-p digit rows of residues() mod p^n, cached on the
-    context under key."""
-    rows = ctx.digits.get(key)
-    if rows is None:
-        rows = ctx.digits[key] = np.stack(digits(residues(), ctx.p, n))
-    return rows
+def _transform(ctx: PrimeContext, key, n: int, coefficients, u: int) -> int:
+    """sum_j c_j zeta^(j u) mod p^n, zeta = omega(g), for c = coefficients().
+    The base-p digit rows of c and of the powers of zeta are cached on the
+    context, under key and under n."""
+    p = ctx.p
+    if key not in ctx.digits:
+        ctx.digits[key] = np.stack(digits(coefficients(), p, n))
+    if n not in ctx.digits:
+        zeta = powers_mod(_teichmuller_lift(p, ctx.g, n), p - 1, p, n)
+        ctx.digits[n] = np.stack(digits(zeta, p, n))
+    # x - x // L * L is x % L, but numpy divides by a scalar much faster
+    # than it takes %
+    x = u * np.arange(p - 1, dtype=np.int64)
+    x -= x // (p - 1) * (p - 1)
+    return digit_dot(ctx.digits[key], ctx.digits[n].take(x, axis=1), p)
 
 
 def eval_gn(
@@ -283,16 +292,8 @@ def eval_gn(
     if t == 0:
         return 0
     rows = (tuple(upper), tuple(lower), p_shift)
-    s = _digit_rows(ctx, (*rows, n), n, lambda: _coefficients(table, *rows))
-    zeta = _digit_rows(
-        ctx, n, n, lambda: powers_mod(_teichmuller_lift(p, ctx.g, n), p - 1, p, n)
-    )
-    # omega(t)^(-j) = zeta^(e j) with e = -dlog(t); x - x // L * L is
-    # x % L, but numpy divides by a scalar much faster than it takes %
-    e = -int(ctx.dlog[t]) % (p - 1)
-    x = e * np.arange(p - 1, dtype=np.int64)
-    x -= x // (p - 1) * (p - 1)
-    return digit_dot(s, zeta.take(x, axis=1), p)
+    u = -int(ctx.dlog[t]) % (p - 1)
+    return _transform(ctx, (*rows, n), n, lambda: _coefficients(table, *rows), u)
 
 
 def _lookup(family: str) -> _Family:
@@ -319,21 +320,37 @@ def integral_family(p: int) -> _Family:
     return next(fam for fam in _FAMILIES.values() if fam.integral_at(p))
 
 
+def _fiber(ctx: PrimeContext, fam: _Family, lam):
+    """(u, sign) = (-dlog t(lambda) mod p-1, phi(sign (1+lambda))) at
+    lambda != 0, -1, an int or an int64 array."""
+    p, dlog = ctx.p, ctx.dlog
+    k, a, b = fam.t_coeffs
+    u = -(dlog[k % p] + a * dlog[lam] + b * dlog[lam + 1]) % (p - 1)
+    return u, ctx.legendre[fam.sign * (lam + 1) % p]
+
+
+def _family_coefficients(table: GammaTable, fam: _Family) -> np.ndarray:
+    """c: s rolled by the family's rotation, integral only inside its class."""
+    s = _coefficients(table, fam.upper, fam.lower, fam.p_shift)
+    return np.roll(s, int(fam.rotation * (table.p - 1)))
+
+
 def eval_family(
     ctx: PrimeContext, table: GammaTable, family: str, lam: int
 ) -> GnValue:
     """Scalar evaluation of one named family at one lambda, mod p^n.
 
-    Outside its class 2g2 raises WrongResidueClassError, and 6g6 returns
-    a residue with no claimed bound.  A tilde family at lambda = -1 is
-    -correction_term() = a_p(-1), with the Hasse bound.  table must be
-    for the context's prime, else ValueError.
+    It reads the rolled coefficients that family_sweep transforms, at
+    _fiber's index; a query computes no omega(t).  Outside its class 2g2
+    raises WrongResidueClassError, and 6g6 returns a residue with no
+    claimed bound.  A tilde family at lambda = -1 is -correction_term()
+    = a_p(-1), with the Hasse bound.  table must be for the context's
+    prime, else ValueError.
     """
     _check_table(ctx, table)
     fam = _lookup(family)
     p, n, pn = ctx.p, table.n, table.modulus
-    rot = fam.rotation * (p - 1)
-    if rot.denominator != 1:  # no twist omega(t)^(-rot) outside the class
+    if (fam.rotation * (p - 1)).denominator != 1:  # no rotation outside the class
         _check_class(fam, p)
     lam %= p
     if lam == p - 1 and family.endswith("t"):
@@ -341,14 +358,11 @@ def eval_family(
     bound = math.isqrt(4 * p) if fam.integral_at(p) else None
     if lam == 0 or lam == p - 1:
         return GnValue(0, pn, bound)
-    k, a, b = fam.t_coeffs
-    t = k * pow(lam, a, p) * pow(1 + lam, b, p) % p
-    val = eval_gn(ctx, table, fam.upper, fam.lower, t, fam.p_shift)
-    if rot:
-        val = val * pow(_teichmuller_lift(p, t, n), -int(rot), pn) % pn
-    if ctx.legendre_symbol(fam.sign * (1 + lam)) < 0:
-        val = -val % pn
-    return GnValue(val, pn, bound)
+    u, sign = _fiber(ctx, fam, lam)
+    val = _transform(
+        ctx, (fam.name, n), n, lambda: _family_coefficients(table, fam), int(u)
+    )
+    return GnValue(val if sign > 0 else -val % pn, pn, bound)
 
 
 # the limb split of correlate_mod: no more limbs than 11-bit ones need,
@@ -425,52 +439,36 @@ def family_sweep(ctx: PrimeContext, family: str) -> np.ndarray:
     Entries at structural zeros (lambda = 0, and lambda = p-1 for the
     untilded families) are 0; ap has zeros at lambda = 0, 1.
 
-    A plain family's value at lambda != 0, -1 is, up to its sign, the
-    length-(p-1) transform W(v) = sum_j c_j zeta^(j v) mod p^2 at
-    v = -dlog(t(lambda)), with c the coefficients rolled by the family's
-    rotation.  W is computed for all v at once in O(p log p): the
-    identity j v = C(j+v, 2) - C(j, 2) - C(v, 2) turns it into one linear
-    correlation (_dft_mod), evaluated exactly by limbs and float FFTs
-    (correlate_mod).  Any rounding residual >= 0.25 raises
-    PrecisionExhaustedError, and every lifted value is checked against
+    A plain family's value at lambda != 0, -1 is sign * W(u), with c,
+    (u, sign) and the lift those of eval_family (see the module
+    docstring).  W is computed for all v at once in O(p log p): one
+    linear correlation (_dft_mod), evaluated exactly by limbs and float
+    FFTs (correlate_mod).  Any rounding residual >= 0.25 raises
+    PrecisionExhaustedError, and lift_signed checks every value against
     the Hasse bound floor(2 sqrt p).  A tilde family is its cached plain
     sweep with the entry at lambda = p-1 patched to -correction_term();
     ap comes from frobenius_sweep.  The result is a read-only int32
     array.
     """
     p = ctx.p
-    if family not in SWEEP_FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
     cached = ctx.sweeps.get(family)
     if cached is not None:
         return cached
     if family == "ap":
         return _cache_sweep(ctx, family, ctx.frobenius_sweep())
+    fam = _lookup(family)
     if family.endswith("t"):
-        out = family_sweep(ctx, family[:-1]).copy()
+        out = family_sweep(ctx, fam.name).copy()
         out[p - 1] = -ctx.correction_term()
         return _cache_sweep(ctx, family, out)
-    fam = _FAMILIES[family]
     _check_class(fam, p)
-    pn = p * p
-    s = _coefficients(GammaTable(ctx, 2), fam.upper, fam.lower, fam.p_shift)
-    coeff = np.roll(s, int(fam.rotation * (p - 1)))
+    coeff = _family_coefficients(GammaTable(ctx, 2), fam)
     teich_pow = powers_mod(_teichmuller_lift(p, ctx.g, 2), p - 1, p, 2)
     w_all = _dft_mod(coeff, teich_pow, p)
-
-    lam = np.arange(1, p - 1)  # lambda != 0, -1
-    k, a, b = fam.t_coeffs
-    u = ctx.dlog[k % p] + a * ctx.dlog[lam] + b * ctx.dlog[lam + 1]
-    w = w_all[-u % (p - 1)]
-
-    bound = math.isqrt(4 * p)
-    signed = np.where(w <= bound, w, w - pn)
-    if np.any(np.abs(signed) > bound):
-        raise NoRepresentativeError(
-            "sweep produced a residue outside the integrality bound"
-        )
+    u, sign = _fiber(ctx, fam, np.arange(1, p - 1))  # lambda != 0, -1
+    signed = lift_signed(GnValue(w_all[u], p * p, math.isqrt(4 * p)))
     out = np.zeros(p, dtype=np.int32)
-    out[1 : p - 1] = signed * ctx.legendre[fam.sign * (lam + 1) % p]
+    out[1 : p - 1] = signed * sign
     return _cache_sweep(ctx, family, out)
 
 

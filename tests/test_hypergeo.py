@@ -45,6 +45,7 @@ from oracles import (
     legendre_6g6_literal,
     legendre_euler,
     small_primes,
+    teichmuller_limit,
 )
 
 
@@ -56,12 +57,26 @@ class TestLiftSigned:
             lift_signed(GnValue(24, 49, 5))
 
     def test_no_bound(self):
-        with pytest.raises(NoRepresentativeError):
-            lift_signed(GnValue(1, 49, None))
+        for r in (1, np.array([1, 2], dtype=np.int64)):
+            with pytest.raises(NoRepresentativeError):
+                lift_signed(GnValue(r, 49, None))
 
     def test_modulus_too_coarse(self):
-        with pytest.raises(PrecisionExhaustedError):
-            lift_signed(GnValue(3, 5, 4))
+        for r in (3, np.array([3, 0], dtype=np.int64)):
+            with pytest.raises(PrecisionExhaustedError):
+                lift_signed(GnValue(r, 5, 4))
+
+    def test_array_lifts_entry_by_entry(self):
+        # every residue in the window, in one int64 array
+        r = np.array([*range(6), *range(44, 49)], dtype=np.int64)
+        got = lift_signed(GnValue(r, 49, 5))
+        assert isinstance(got, np.ndarray)
+        assert got.tolist() == [lift_signed(GnValue(x, 49, 5)) for x in r.tolist()]
+
+    def test_array_names_bad_residue(self):
+        r = np.array([45, 0, 24, 3], dtype=np.int64)
+        with pytest.raises(NoRepresentativeError, match="is 24 mod 49"):
+            lift_signed(GnValue(r, 49, 5))
 
     def test_method_delegates(self):
         assert GnValue(45, 49, 5).lift() == -4
@@ -179,6 +194,27 @@ class TestLegendreWrappers:
             got = eval_family(ctx, tab, fam, lam)
             assert (got.residue, got.modulus) == (literal(p, 3, lam), p**3), lam
 
+    @pytest.mark.parametrize("p", [1451, 1453])
+    def test_residue_matches_twisted_definition_sum(self, ctx_of, table_of, p):
+        # the literal wrappers stop at 1447 (gamma_morita's p^3 entries);
+        # past it, the per-query form that the rolled coefficients
+        # replace: the twist omega(t)^(-(p-1)/3) times eval_gn's sum
+        ctx, tab = ctx_of(p), table_of(p, 3)
+        pn = p**3
+        for lam in random.Random(p).sample(range(1, p - 1), 200):
+            if p % 3 == 1:
+                t = 4 * lam * pow(1 + lam, -2, p) % p
+                twist = pow(teichmuller_limit(p, t, 3), -(p - 1) // 3, pn)
+                inner = eval_gn(ctx, tab, G2_UPPER, G2_LOWER, t, 1)
+                fam, sign = "2g2", legendre_euler(p, 2 * (1 + lam))
+                want = sign * twist * inner % pn
+            else:
+                t = 64 * lam**3 * pow(1 + lam, -6, p) % p
+                inner = eval_gn(ctx, tab, G6_UPPER, G6_LOWER, t)
+                fam, sign = "6g6", legendre_euler(p, 1 + lam)
+                want = sign * inner % pn
+            assert eval_family(ctx, tab, fam, lam).residue == want, lam
+
 
 class TestTildeVariants:
     def test_regularized_at_minus_one(self, ctx_of, table_of):
@@ -203,8 +239,8 @@ class TestTildeVariants:
 
 
 def test_eval_family_lifts_without_primality_test(monkeypatch):
-    # a query neither re-tests the context's prime nor, for 6G6 (rotation
-    # 0), computes omega(t) at all
+    # a query neither re-tests the context's prime nor computes omega(t):
+    # 2G2's twist omega(t)^(-(p-1)/3) is the roll of its coefficients
     import padichg.field
     import padichg.hypergeo
     import padichg.padic
@@ -229,7 +265,7 @@ def test_eval_family_lifts_without_primality_test(monkeypatch):
             lifts.clear()
             got = [eval_family(ctx, tab, fam, lam).lift() for lam in range(2, p - 1)]
         assert got == want
-        assert len(lifts) == (len(want) if fam == "2g2" else 0)
+        assert lifts == []
 
 
 def test_eval_family_dispatch(ctx_of, table_of):
@@ -312,6 +348,25 @@ class TestFamilySweep:
                 with pytest.raises(ValueError):
                     sweep[2] = 0
         assert ctx_of(13).frobenius_sweep().dtype == np.int32
+
+    def test_hasse_check_names_residue(self, monkeypatch):
+        # one transform entry pushed just outside the window must not lift
+        import padichg.hypergeo as hypergeo
+
+        p, bound = 13, 7
+        ctx = make_prime_ctx(p)
+        u = int(hypergeo._fiber(ctx, hypergeo._FAMILIES["2g2"], 2)[0])
+        real = hypergeo._dft_mod
+
+        def pushed(coeff, tp, p):
+            w = real(coeff, tp, p).copy()
+            w[u] = bound + 1
+            return w
+
+        monkeypatch.setattr(hypergeo, "_dft_mod", pushed)
+        with pytest.raises(NoRepresentativeError, match=f"is {bound + 1} mod {p * p}"):
+            family_sweep(ctx, "2g2")
+        assert ctx.sweeps == {}
 
     def test_residue_class_gates(self, ctx_of):
         with pytest.raises(WrongResidueClassError):
